@@ -332,7 +332,9 @@ let serve_cmd =
       value
       & opt (some int) None
       & info [ "domains" ] ~docv:"D"
-          ~doc:"Domain-pool size shared by all campaigns (default: COBRA_DOMAINS).")
+          ~doc:
+            "Dispatch lanes, one domain each, shared by all campaigns \
+             (default: COBRA_DOMAINS).")
   in
   let run socket cache max_jobs queue_depth max_cells max_inflight domains =
     let config =

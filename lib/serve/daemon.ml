@@ -38,12 +38,13 @@ type job = {
   started_at : float;
   log : Eventlog.t;
   mutable queue : Campaign.cell list;  (* admitted, not yet dispatched *)
-  mutable inflight : int;  (* dispatched to the pool, not yet finished *)
+  mutable inflight : int;  (* taken by a lane, not yet recorded *)
   mutable done_cells : int;
   mutable ran : int;
   mutable cached : int;
   mutable state : job_state;
   mutable cancelled : bool;  (* requested; takes effect when in-flight drains *)
+  mutable finishing : bool;  (* drained; one thread is closing it out *)
   mutable manifest : string option;
   mutable error : string option;
 }
@@ -56,11 +57,11 @@ type reservation = { r_client : string; r_dir : string; r_cells : int }
 type t = {
   config : config;
   store : Cellstore.t option;
-  pool : Pool.t;
+  lanes : int;
   mu : Mutex.t;
   cond : Condition.t;
   jobs : (string, job) Hashtbl.t;
-  mutable order : string list;  (* submission order: round-robin + stats *)
+  mutable order : string list;  (* submission order: dispatch ties + stats *)
   mutable reserved : reservation list;
   mutable seq : int;
   mutable stop : bool;
@@ -125,34 +126,64 @@ let job_fields job =
   ]
   @ match job.error with Some m -> [ ("error", Json.String m) ] | None -> []
 
-(* Transition a job whose work has drained (or been cleared) to its
-   terminal state, emit the Finished event and release its event log. *)
-let maybe_finish job =
-  if (not (terminal job.state)) && job.queue = [] && job.inflight = 0 then begin
-    let remaining = Campaign.remaining job.plan in
-    let manifest = if remaining = 0 then Campaign.finalize job.plan else None in
-    job.manifest <- manifest;
-    emit job
-      (Campaign.Finished
-         {
-           ran = job.ran;
-           cached = job.cached;
-           reused = job.plan.Campaign.p_reused;
-           corrupted = List.length job.plan.Campaign.p_corrupt;
-           remaining;
-           manifest;
-         });
+(* ---------- closing a job out ---------- *)
+
+let drained job = job.queue = [] && job.inflight = 0
+
+(* Runs without the lock: a claimed job has no queue and no cell in
+   flight, so nothing else writes its directory or its event log.
+   [finalize]'s own stat pass decides completeness; only an incomplete
+   campaign pays a second pass, to report how many cells are missing. *)
+let conclude job =
+  let outcome =
+    try
+      let manifest = Campaign.finalize job.plan in
+      let remaining = if manifest = None then Campaign.remaining job.plan else 0 in
+      emit job
+        (Campaign.Finished
+           {
+             ran = job.ran;
+             cached = job.cached;
+             reused = job.plan.Campaign.p_reused;
+             corrupted = List.length job.plan.Campaign.p_corrupt;
+             remaining;
+             manifest;
+           });
+      Ok manifest
+    with exn -> Error (Printexc.to_string exn)
+  in
+  (try Eventlog.close job.log with Unix.Unix_error _ -> ());
+  outcome
+
+(* Close out a job whose work has drained (or been cleared). The claim
+   under [t.mu] makes cancel, the shutdown drain and the lane that
+   records the last cell agree on one finalizer; the stat pass, the
+   manifest's digests and the Finished event run with the lock
+   released, so other lanes and RPCs keep flowing. Until its terminal
+   state is published the job reports no manifest and keeps its slot,
+   directory and quota. Called with [t.mu] held; returns with it
+   held. *)
+let finish t job =
+  if active job && drained job && not job.finishing then begin
+    job.finishing <- true;
+    Mutex.unlock t.mu;
+    let closed = conclude job in
+    Mutex.lock t.mu;
+    (match closed with
+    | Ok manifest -> job.manifest <- manifest
+    | Error msg ->
+      if job.error = None then job.error <- Some ("finalize failed: " ^ msg));
     job.state <-
       (match job.error with
       | Some m -> Failed m
       | None ->
-        if manifest <> None then Done
+        if job.manifest <> None then Done
         else if job.cancelled then Cancelled
         else Failed "campaign incomplete");
-    Eventlog.close job.log
+    Condition.broadcast t.cond
   end
 
-(* ---------- the scheduler thread ---------- *)
+(* ---------- dispatch lanes ---------- *)
 
 let promote t =
   let slots = ref (t.config.max_jobs - count_jobs t (fun j -> j.state = Running)) in
@@ -162,29 +193,27 @@ let promote t =
         decr slots
       end)
 
-(* One cell per running job per pass, repeating until the batch is full
-   or every queue is dry: a long campaign cannot starve a short one. *)
-let take_batch t limit =
-  let acc = ref [] and count = ref 0 in
-  let progressed = ref true in
-  while !count < limit && !progressed do
-    progressed := false;
-    iter_jobs t (fun job ->
-        if !count < limit && job.state = Running then
-          match job.queue with
-          | [] -> ()
-          | c :: rest ->
-            job.queue <- rest;
-            job.inflight <- job.inflight + 1;
-            acc := (job, c) :: !acc;
-            incr count;
-            progressed := true)
-  done;
-  Array.of_list (List.rev !acc)
+(* The next cell comes from the running job with the fewest cells in
+   flight, ties going to submission order. With at least as many lanes
+   as running jobs, every running job keeps a cell in flight, so a long
+   campaign cannot starve a short one. *)
+let take_cell t =
+  let best = ref None in
+  iter_jobs t (fun job ->
+      if job.state = Running && job.queue <> [] then
+        match !best with
+        | Some b when b.inflight <= job.inflight -> ()
+        | _ -> best := Some job);
+  match !best with
+  | Some ({ queue = cell :: rest; _ } as job) ->
+    job.queue <- rest;
+    job.inflight <- job.inflight + 1;
+    Some (job, cell)
+  | _ -> None
 
 let record job cell outcome =
   job.inflight <- job.inflight - 1;
-  (match outcome with
+  match outcome with
   | Ok provenance ->
     job.done_cells <- job.done_cells + 1;
     (match provenance with
@@ -213,34 +242,33 @@ let record job cell outcome =
     (* A failing cell aborts its job (finished cells stay checkpointed
        for a later resume) without touching the other campaigns. *)
     job.error <- Some (Printf.sprintf "cell %S failed: %s" cell.Campaign.address msg);
-    job.queue <- []);
-  maybe_finish job
+    job.queue <- []
 
-let scheduler t =
-  let limit = max 1 (Pool.size t.pool) in
+(* One lane, in its own domain: take a cell under the lock, run it with
+   the lock released, record it under the lock. A lane sleeps only when
+   no running job has a queued cell, so no cell waits for another
+   lane's. On [t.stop] the lane records its in-flight cell and exits;
+   queued cells stay pending for a resubmission with resume. *)
+let lane t () =
   Mutex.lock t.mu;
   let rec loop () =
     if t.stop then Mutex.unlock t.mu
     else begin
       promote t;
-      let batch = take_batch t limit in
-      if Array.length batch = 0 then begin
+      match take_cell t with
+      | None ->
         Condition.wait t.cond t.mu;
         loop ()
-      end
-      else begin
+      | Some (job, cell) ->
         Mutex.unlock t.mu;
-        let outcomes = Array.make (Array.length batch) (Error "not run") in
-        Pool.run t.pool ~n:(Array.length batch) (fun i ->
-            let job, cell = batch.(i) in
-            outcomes.(i) <-
-              (try Ok (Campaign.execute_cell job.plan cell)
-               with exn -> Error (Printexc.to_string exn)));
+        let outcome =
+          try Ok (Campaign.execute_cell job.plan cell)
+          with exn -> Error (Printexc.to_string exn)
+        in
         Mutex.lock t.mu;
-        Array.iteri (fun i (job, cell) -> record job cell outcomes.(i)) batch;
-        Condition.broadcast t.cond;
+        record job cell outcome;
+        finish t job;
         loop ()
-      end
     end
   in
   loop ()
@@ -327,7 +355,7 @@ let submit t (s : Protocol.submit) =
         in
         (* Planning (stat + parse + digest of existing checkpoints) can
            take seconds on a large resume: run it with the lock released
-           so the scheduler and other RPCs keep flowing. The reservation
+           so the lanes and other RPCs keep flowing. The reservation
            holds this submission's quota slot and directory meanwhile. *)
         let planned =
           try Campaign.plan campaign_config ~name:grid.Sweep.Grid.name ~cells
@@ -359,13 +387,13 @@ let submit t (s : Protocol.submit) =
               cached = 0;
               state = Queued;
               cancelled = false;
+              finishing = false;
               manifest = None;
               error = None;
             }
           in
           (* The job is not yet visible to any other thread, so the
-             Started banner and — when nothing is pending — the finalize
-             digest pass in [maybe_finish] also run without the lock. *)
+             Started banner and the corrupt notes need no lock. *)
           emit job
             (Campaign.Started
                {
@@ -386,24 +414,24 @@ let submit t (s : Protocol.submit) =
                      reason;
                    }))
             plan.Campaign.p_corrupt;
-          maybe_finish job;  (* nothing pending: complete immediately *)
           Mutex.lock t.mu;
           Fun.protect
             ~finally:(fun () -> Mutex.unlock t.mu)
             (fun () ->
               release ();
-              if t.stop && not (terminal job.state) then begin
+              if t.stop && job.queue <> [] then begin
                 (* The drain in [run] may already have passed: close the
                    job out here (checkpoints stay for a resubmission). *)
                 job.cancelled <- true;
                 job.queue <- [];
-                maybe_finish job;
+                finish t job;
                 err Protocol.Busy "daemon is shutting down"
               end
               else begin
                 Hashtbl.replace t.jobs id job;
                 t.order <- t.order @ [ id ];
                 Condition.broadcast t.cond;
+                finish t job;  (* nothing pending: complete immediately *)
                 Ok (Protocol.ok_response (job_fields job))
               end))
     end)
@@ -420,19 +448,13 @@ let with_job t id f =
 let status t id = with_job t id (fun job -> Ok (Protocol.ok_response (job_fields job)))
 
 let cancel t id =
-  let r =
-    with_job t id (fun job ->
-        if not (terminal job.state) then begin
-          job.cancelled <- true;
-          job.queue <- [];
-          maybe_finish job
-        end;
-        Ok (Protocol.ok_response (job_fields job)))
-  in
-  Mutex.lock t.mu;
-  Condition.broadcast t.cond;
-  Mutex.unlock t.mu;
-  r
+  with_job t id (fun job ->
+      if active job then begin
+        job.cancelled <- true;
+        job.queue <- [];
+        finish t job
+      end;
+      Ok (Protocol.ok_response (job_fields job)))
 
 let stats t =
   Mutex.lock t.mu;
@@ -458,7 +480,7 @@ let stats t =
       Ok
         (Protocol.ok_response
            [
-             ("domains", Json.Int (Pool.size t.pool));
+             ("domains", Json.Int t.lanes);
              ("max_jobs", Json.Int t.config.max_jobs);
              ("queue_depth", Json.Int t.config.queue_depth);
              ("max_cells_per_submit", Json.Int t.config.max_cells_per_submit);
@@ -535,19 +557,38 @@ let stream_events t oc id =
     in
     (try tail () with Client_gone -> ())
 
+(* One request line, newline excluded, of at most [Protocol.max_frame]
+   bytes: a peer that never sends a newline costs a bounded buffer, not
+   unbounded memory. [None] at end of input before any byte. *)
+let read_frame ic =
+  let buf = Buffer.create 256 in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> Some (Ok (Buffer.contents buf))
+    | _ when Buffer.length buf >= Protocol.max_frame ->
+      Some (Error (Printf.sprintf "request frame exceeds %d bytes" Protocol.max_frame))
+    | c ->
+      Buffer.add_char buf c;
+      go ()
+    | exception End_of_file ->
+      if Buffer.length buf = 0 then None else Some (Ok (Buffer.contents buf))
+  in
+  go ()
+
 let handle t fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   let finally () = try close_out oc with _ -> (try Unix.close fd with _ -> ()) in
   Fun.protect ~finally (fun () ->
-      match input_line ic with
-      | exception End_of_file -> ()
+      match read_frame ic with
       | exception Sys_error _ -> ()
-      | line -> (
+      | None -> ()
+      | Some frame -> (
         let req =
-          match Json.of_string line with
-          | Error e -> Error (Printf.sprintf "request is not JSON: %s" e)
-          | Ok doc -> Protocol.request_of_json doc
+          Result.bind frame (fun line ->
+              match Json.of_string line with
+              | Error e -> Error (Printf.sprintf "request is not JSON: %s" e)
+              | Ok doc -> Protocol.request_of_json doc)
         in
         match req with
         | Error msg -> send oc (Protocol.error_response Protocol.Bad_request msg)
@@ -603,8 +644,13 @@ let run config =
      instead of raising a catchable EPIPE. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
+  let lanes =
+    match config.domains with Some d -> d | None -> Pool.default_domains ()
+  in
   match probe_socket config.socket with
   | Error _ as e -> e
+  | Ok () when lanes < 1 ->
+    Error (Printf.sprintf "domains must be at least 1 (got %d)" lanes)
   | Ok () -> (
     mkdir_p (Filename.dirname config.socket);
     let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -615,14 +661,11 @@ let run config =
         (Printf.sprintf "cannot bind %s: %s" config.socket (Unix.error_message e))
     | () ->
       Unix.listen listener 16;
-      let domains =
-        match config.domains with Some d -> d | None -> Pool.default_domains ()
-      in
       let t =
         {
           config;
           store = Option.map (fun dir -> Cellstore.open_ ~dir) config.cache;
-          pool = Pool.create ~domains;
+          lanes;
           mu = Mutex.create ();
           cond = Condition.create ();
           jobs = Hashtbl.create 16;
@@ -632,7 +675,9 @@ let run config =
           stop = false;
         }
       in
-      let sched = Thread.create scheduler t in
+      (* Not this domain: a lane computing here would hold its runtime
+         lock, and every RPC would wait for the lock's tick. *)
+      let lanes = Array.init lanes (fun _ -> Domain.spawn (lane t)) in
       (* Handler threads prune themselves on exit, so the table only
          holds live connections — a long-lived daemon does not
          accumulate one dead thread per past request. *)
@@ -687,18 +732,19 @@ let run config =
       t.stop <- true;
       Condition.broadcast t.cond;
       Mutex.unlock t.mu;
-      (* Drain: the scheduler finishes its in-flight batch and exits;
+      (* Drain: each lane records its in-flight cell and exits; the
          unfinished jobs are closed out as cancelled (their checkpoints
-         stay on disk for a resubmission with resume). *)
-      Thread.join sched;
+         stay on disk for a resubmission with resume). A job another
+         thread is already closing out is left to it: that thread is a
+         handler, joined below. *)
+      Array.iter Domain.join lanes;
       Mutex.lock t.mu;
       iter_jobs t (fun job ->
           if not (terminal job.state) then begin
             job.cancelled <- true;
             job.queue <- [];
-            maybe_finish job
+            finish t job
           end);
-      Condition.broadcast t.cond;
       Mutex.unlock t.mu;
       let live =
         Mutex.lock hmu;
@@ -707,7 +753,6 @@ let run config =
         l
       in
       List.iter Thread.join live;
-      Pool.shutdown t.pool;
       (try Unix.close listener with Unix.Unix_error _ -> ());
       (try Unix.unlink config.socket with Unix.Unix_error _ -> ());
       Ok ())

@@ -2,6 +2,8 @@ module Json = Simkit.Json
 
 let version = "cobra.rpc/1"
 
+let max_frame = 1 lsl 20
+
 type submit = {
   client : string;
   grid : [ `Inline of string | `Doc of Json.t ];

@@ -4,7 +4,9 @@
     — every request and every response is one complete JSON object on
     one ['\n']-terminated line, UTF-8, no embedded newlines (the
     {!Simkit.Json} printer never emits one). A connection carries one
-    request and its response(s); clients reconnect per call.
+    request and its response(s); clients reconnect per call. A request
+    line longer than {!max_frame} bytes is answered with [bad-request]
+    and the connection closed.
 
     {2 Requests}
 
@@ -13,8 +15,8 @@
     - [{"op":"submit","client":C,"out":DIR,"master":M,"resume":B,
        "grid":INLINE}] — or ["grid_json":DOC] carrying a full
       [cobra.sweep-grid/1] document instead of the inline string.
-      Submits a sweep campaign: the grid is expanded to cells, sharded
-      across the daemon's domain pool, checkpointed under [DIR] exactly
+      Submits a sweep campaign: the grid is expanded to cells, run by
+      the daemon's dispatch lanes, checkpointed under [DIR] exactly
       as the batch [cobra sweep] path would (byte-identical records and
       manifest).
     - [{"op":"status","job":J}] — one snapshot of the job.
@@ -41,6 +43,9 @@
 
 val version : string
 (** ["cobra.rpc/1"] *)
+
+val max_frame : int
+(** Longest request line the daemon reads, newline excluded: 1 MiB. *)
 
 type submit = {
   client : string;  (** quota accounting identity *)
