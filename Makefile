@@ -108,6 +108,7 @@ bench-compare:
 	  { echo "usage: make bench-compare OLD=old.json NEW=new.json"; exit 3; }
 	dune exec bench/compare.exe -- $(OLD) $(NEW)
 
+# Runs every example (~1 min, half of it duality_check).
 examples:
 	dune exec examples/quickstart.exe
 	dune exec examples/duality_check.exe
@@ -115,6 +116,7 @@ examples:
 	dune exec examples/expander_zoo.exe
 	dune exec examples/herd_outbreak.exe
 	dune exec examples/broadcast_race.exe
+	dune exec examples/growth_curves.exe
 
 clean:
 	dune clean

@@ -39,6 +39,7 @@
 
 open Bechamel
 module B = Cobra.Branching
+module K = Cobra.Kernel
 
 let master = Simkit.Seeds.master ~default:1 ()
 
@@ -60,8 +61,8 @@ let herd_graph = Graph.View.of_csr (Graph.Gen.ring_of_cliques ~cliques:6 ~clique
 
 let cover g branching tag =
   let rng = rng_of tag in
-  Staged.stage (fun () ->
-      ignore (Cobra.Process.cover_time g ~branching ~start:0 rng))
+  let params = { K.default_params with K.branching } in
+  Staged.stage (fun () -> ignore (K.completion_time K.cobra g params rng))
 
 let experiment_kernels =
   [
@@ -70,8 +71,7 @@ let experiment_kernels =
     Test.make ~name:"E3/bips-3reg-n1024"
       (let rng = rng_of "e3" in
        Staged.stage (fun () ->
-           ignore
-             (Cobra.Bips.infection_time expander_1k ~branching:B.cobra_k2 ~source:0 rng)));
+           ignore (K.completion_time K.bips expander_1k K.default_params rng)));
     Test.make ~name:"E4/exact-duality-petersen"
       (let engine = Cobra.Exact.Cobra_engine.create petersen ~branching:B.cobra_k2 in
        (* Warm the transition memo so the OLS fit measures steady-state
@@ -86,7 +86,7 @@ let experiment_kernels =
     Test.make ~name:"E8/walk-cover-3reg-n256"
       (let g = Graph.View.of_csr (Graph.Gen.random_regular (rng_of "bench:rr256") ~n:256 ~r:3) in
        let rng = rng_of "e8" in
-       Staged.stage (fun () -> ignore (Cobra.Rwalk.cover_time g ~start:0 rng)));
+       Staged.stage (fun () -> ignore (K.completion_time K.rwalk g K.default_params rng)));
     Test.make ~name:"E9/growth-formula-n1024"
       (let rng = rng_of "e9" in
        let set = Cobra.Growth.random_infected_set rng expander_1k ~source:0 ~size:256 in
@@ -97,14 +97,13 @@ let experiment_kernels =
     Test.make ~name:"E10/herd-run-6x8"
       (let rng = rng_of "e10" in
        let params =
-         { Epidemic.Herd.contacts = B.cobra_k2; infectious_rounds = 2; immune_rounds = 4 }
+         { K.default_params with
+           K.persistent = true; infectious_rounds = 2; immune_rounds = 4; cap = Some 50_000 }
        in
-       Staged.stage (fun () ->
-           ignore
-             (Epidemic.Herd.run ~cap:50_000 herd_graph params ~pi:[ 0 ] ~index_cases:[] rng)));
+       Staged.stage (fun () -> ignore (K.run Epidemic.Kernels.herd herd_graph params rng)));
     Test.make ~name:"E11/push-complete-n256"
       (let rng = rng_of "e11" in
-       Staged.stage (fun () -> ignore (Cobra.Push.push complete_256 ~start:0 rng)));
+       Staged.stage (fun () -> ignore (K.run K.push complete_256 K.default_params rng)));
     Test.make ~name:"E12/contact-supercrit-n1024"
       (let rng = rng_of "e12" in
        Staged.stage (fun () ->
@@ -124,7 +123,7 @@ let experiment_kernels =
     Test.make ~name:"E15/cover-distinct-n1024" (cover expander_1k (B.distinct 2) "e15");
     Test.make ~name:"E16/pushpull-n1024"
       (let rng = rng_of "e16" in
-       Staged.stage (fun () -> ignore (Cobra.Push.push_pull expander_1k ~start:0 rng)));
+       Staged.stage (fun () -> ignore (K.run K.push_pull expander_1k K.default_params rng)));
   ]
 
 let substrate_kernels =
@@ -342,7 +341,7 @@ let run_scale ~smoke ~json_path =
   let cover_rows ?(prefix = "scale/cover-") name g tag =
     let rng = rng_of tag in
     let (covered, dt) =
-      timed (fun () -> Cobra.Process.cover_time g ~branching:B.cobra_k2 ~start:0 rng)
+      timed (fun () -> K.completion_time K.cobra g K.default_params rng)
     in
     (match covered with
     | Some _ -> ()
@@ -537,9 +536,7 @@ let parallel_engine_check () =
   Printf.printf "\n== Parallel trial engine (COBRA_DOMAINS=%d) ==\n" domains;
   let trials = 24 in
   let measure rng =
-    match
-      Cobra.Process.cover_time expander_4k ~branching:B.cobra_k2 ~start:0 rng
-    with
+    match K.completion_time K.cobra expander_4k K.default_params rng with
     | Some t -> t
     | None -> -1
   in

@@ -123,10 +123,22 @@ let write_trials_csv path values =
   Simkit.Csvout.write_file path ~header:[ "trial"; "value" ] rows;
   Printf.printf "wrote %s\n" path
 
-let run_process_trials ?csv ~seed ~trials ~measure ~name () =
-  let raw =
-    Simkit.Trial.collect_par ~trials ~master:seed ~salt0:0 (fun rng -> measure rng)
-  in
+(* ---------- kernel trials ---------- *)
+
+(* Every single-shot subcommand runs its trials through [collect], trial
+   i on salt i. A kernel, or the trial runner, rejecting an argument (a
+   start vertex out of range, no walkers, no trials) raises
+   [Invalid_argument]: a usage error, reported like a bad --graph rather
+   than as an uncaught exception. *)
+let collect ~seed ~trials measure =
+  try Simkit.Trial.collect_par ~trials ~master:seed ~salt0:0 measure
+  with Invalid_argument msg ->
+    flush stdout;
+    Printf.eprintf "error: %s\n" msg;
+    exit 2
+
+let run_process_trials ?csv ~seed ~trials ~name kernel g params =
+  let raw = collect ~seed ~trials (Cobra.Kernel.completion_time kernel g params) in
   Option.iter (fun path -> write_trials_csv path raw) csv;
   let values = Array.of_list (List.filter_map Fun.id (Array.to_list raw)) in
   if Array.length values = 0 then print_endline "every trial hit the cap"
@@ -134,17 +146,6 @@ let run_process_trials ?csv ~seed ~trials ~measure ~name () =
     summarize_trials name
       (Array.map Float.of_int values)
       (trials - Array.length values)
-
-(* ---------- kernel-driven measurement ---------- *)
-
-(* The single-shot subcommands drive their process through
-   [Cobra.Kernel.run]; for equal streams this is bit-for-bit the
-   historical per-process loop (pinned by test/cli's golden
-   transcripts). *)
-
-let kernel_completion_time kernel g params rng =
-  let o = Cobra.Kernel.run kernel g params rng in
-  if o.Cobra.Kernel.completed then Some o.Cobra.Kernel.rounds else None
 
 let observation_exn o key =
   match Cobra.Kernel.observation o key with

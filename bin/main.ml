@@ -1,14 +1,14 @@
 (* cobra_cli — command-line front end for the COBRA/BIPS reproduction.
 
    Subcommands: exp (run experiments), sweep (checkpointed campaigns),
-   cover, bips, walk, push, pull, coalesce, explore, duality, spectral,
-   gen, herd, contact, exact. Every stochastic command takes --seed and
-   prints enough configuration to be reproduced exactly.
+   serve and client (the campaign daemon), cover, bips, walk, push, pull,
+   coalesce, explore, duality, spectral, gen, herd, seir, contact, exact.
+   Every stochastic command takes --seed and prints enough configuration
+   to be reproduced exactly.
 
-   Shared flags/converters live in Cli_common; single-shot process
-   measurement is routed through the Cobra.Kernel instances (the same
-   engine the sweep subsystem drives), with test/cli pinning the output
-   byte-for-byte against the historical per-process loops. *)
+   Shared flags/converters live in Cli_common; every single-shot process
+   runs through Cobra.Kernel.run (the engine the sweep subsystem drives),
+   with test/cli pinning the output byte-for-byte. *)
 
 open Cmdliner
 open Cli_common
@@ -549,9 +549,8 @@ let cover_cmd =
       Printf.printf "COBRA cover time, branching %s, start %d, %d trials, seed %d\n"
         (Cobra.Branching.to_string branching)
         start trials seed;
-      run_process_trials ?csv ~seed ~trials ~name:"cover time (rounds)"
-        ~measure:(fun rng -> kernel_completion_time K.cobra g params rng)
-        ()
+      run_process_trials ?csv ~seed ~trials ~name:"cover time (rounds)" K.cobra g
+        params
     | Some k ->
       let n = Graph.View.n_vertices g in
       let k = min k n in
@@ -575,7 +574,7 @@ let cover_cmd =
             let trial_rng =
               Simkit.Seeds.trial_rng ~master:seed ~salt:(salt0 + i)
             in
-            match kernel_completion_time K.cobra g params trial_rng with
+            match K.completion_time K.cobra g params trial_rng with
             | Some t -> Stats.Summary.add_int s t
             | None -> ()
           done;
@@ -612,9 +611,8 @@ let bips_cmd =
       (Cobra.Branching.to_string branching)
       source trials seed;
     let params = { K.default_params with K.branching; start = source; cap } in
-    run_process_trials ?csv ~seed ~trials ~name:"infection time (rounds)"
-      ~measure:(fun rng -> kernel_completion_time K.bips g params rng)
-      ();
+    run_process_trials ?csv ~seed ~trials ~name:"infection time (rounds)" K.bips g
+      params;
     0
   in
   let doc = "Measure BIPS infection times." in
@@ -637,9 +635,8 @@ let walk_cmd =
     Printf.printf "%d independent random walk(s), start %d, %d trials, seed %d\n"
       walkers start trials seed;
     let params = { K.default_params with K.start = start; walkers; cap } in
-    run_process_trials ?csv ~seed ~trials ~name:"cover time (rounds)"
-      ~measure:(fun rng -> kernel_completion_time K.rwalk g params rng)
-      ();
+    run_process_trials ?csv ~seed ~trials ~name:"cover time (rounds)" K.rwalk g
+      params;
     0
   in
   let doc = "Measure random-walk cover times (k=1 baseline; --walkers for many)." in
@@ -649,6 +646,20 @@ let walk_cmd =
       $ walkers_t $ csv_t)
 
 (* ---------- push ---------- *)
+
+(* The rumour protocols' report, from vertex 0: rounds and total
+   transmissions over the trials that informed everyone, with the capped
+   trials counted as censored. *)
+let rumour_trials kernel g ~trials ~seed ~cap =
+  let params = { K.default_params with K.start = 0; cap } in
+  let outcomes = collect ~seed ~trials (K.run kernel g params) in
+  let completed = List.filter (fun o -> o.K.completed) (Array.to_list outcomes) in
+  let censored = trials - List.length completed in
+  let summarize name value =
+    summarize_trials name (Array.of_list (List.map value completed)) censored
+  in
+  summarize "rounds" (fun o -> Float.of_int o.K.rounds);
+  summarize "transmissions" (fun o -> observation_exn o "transmissions")
 
 let push_cmd =
   let protocol_t =
@@ -665,34 +676,8 @@ let push_cmd =
       let o = Cobra.Push.flood g ~start:0 in
       Printf.printf "flooding: rounds=%d transmissions=%d\n" o.Cobra.Push.rounds
         o.Cobra.Push.transmissions
-    | `Push ->
-      let params = { K.default_params with K.start = 0; cap } in
-      let results =
-        Simkit.Trial.collect_censored_par ~trials ~master:seed ~salt0:0 (fun rng ->
-            let o = K.run K.push g params rng in
-            if o.K.completed then
-              Some (o.K.rounds, int_of_float (observation_exn o "transmissions"))
-            else None)
-      in
-      summarize_trials "rounds"
-        (Array.map (fun (r, _) -> Float.of_int r) results.Simkit.Trial.values)
-        results.Simkit.Trial.censored;
-      summarize_trials "transmissions"
-        (Array.map (fun (_, t) -> Float.of_int t) results.Simkit.Trial.values)
-        results.Simkit.Trial.censored
-    | `Push_pull ->
-      let results =
-        Simkit.Trial.collect_censored_par ~trials ~master:seed ~salt0:0 (fun rng ->
-            Option.map
-              (fun o -> (o.Cobra.Push.rounds, o.Cobra.Push.transmissions))
-              (Cobra.Push.push_pull ?cap g ~start:0 rng))
-      in
-      summarize_trials "rounds"
-        (Array.map (fun (r, _) -> Float.of_int r) results.Simkit.Trial.values)
-        results.Simkit.Trial.censored;
-      summarize_trials "transmissions"
-        (Array.map (fun (_, t) -> Float.of_int t) results.Simkit.Trial.values)
-        results.Simkit.Trial.censored);
+    | `Push -> rumour_trials K.push g ~trials ~seed ~cap
+    | `Push_pull -> rumour_trials K.push_pull g ~trials ~seed ~cap);
     0
   in
   let doc = "Run rumour-spreading baselines (push, push-pull, flooding)." in
@@ -706,20 +691,7 @@ let pull_cmd =
     let g = build_graph spec ~backend ~seed in
     print_graph_line g spec;
     Printf.printf "pull rumour spreading, start 0, %d trials, seed %d\n" trials seed;
-    let params = { K.default_params with K.start = 0; cap } in
-    let results =
-      Simkit.Trial.collect_censored_par ~trials ~master:seed ~salt0:0 (fun rng ->
-          let o = K.run K.pull g params rng in
-          if o.K.completed then
-            Some (o.K.rounds, int_of_float (observation_exn o "transmissions"))
-          else None)
-    in
-    summarize_trials "rounds"
-      (Array.map (fun (r, _) -> Float.of_int r) results.Simkit.Trial.values)
-      results.Simkit.Trial.censored;
-    summarize_trials "transmissions"
-      (Array.map (fun (_, t) -> Float.of_int t) results.Simkit.Trial.values)
-      results.Simkit.Trial.censored;
+    rumour_trials K.pull g ~trials ~seed ~cap;
     0
   in
   let doc = "Run pull rumour spreading (uninformed vertices query a neighbour)." in
@@ -741,9 +713,8 @@ let coalesce_cmd =
       "coalescing walks with voting, %d walkers, start %d, %d trials, seed %d\n"
       walkers start trials seed;
     let params = { K.default_params with K.start = start; walkers; cap } in
-    run_process_trials ?csv ~seed ~trials ~name:"consensus time (rounds)"
-      ~measure:(fun rng -> kernel_completion_time K.coalesce g params rng)
-      ();
+    run_process_trials ?csv ~seed ~trials ~name:"consensus time (rounds)" K.coalesce
+      g params;
     0
   in
   let doc = "Measure coalescing-walk consensus times (voting)." in
@@ -761,9 +732,8 @@ let explore_cmd =
     Printf.printf "unvisited-edge-preferring walk, start %d, %d trials, seed %d\n"
       start trials seed;
     let params = { K.default_params with K.start = start; cap } in
-    run_process_trials ?csv ~seed ~trials ~name:"cover time (rounds)"
-      ~measure:(fun rng -> kernel_completion_time K.explore g params rng)
-      ();
+    run_process_trials ?csv ~seed ~trials ~name:"cover time (rounds)" K.explore g
+      params;
     0
   in
   let doc = "Measure cover times of the unvisited-edge-preferring walk." in
@@ -898,12 +868,7 @@ let herd_cmd =
         immune_rounds = 8;
       }
     in
-    (* Trial i draws from salt0 + i = i, exactly the salts the old
-       sequential loop used, so the pool changes nothing but wall-clock. *)
-    let outcomes =
-      Simkit.Trial.collect_par ~trials ~master:seed ~salt0:0 (fun rng ->
-          K.run Epidemic.Kernels.herd g params rng)
-    in
+    let outcomes = collect ~seed ~trials (K.run Epidemic.Kernels.herd g params) in
     let full = ref 0 and extinct = ref 0 and rounds = Stats.Summary.create () in
     Array.iter
       (fun o ->
@@ -964,11 +929,7 @@ let seir_cmd =
           infectious_rounds = infectious;
         }
       in
-      (* Same salts (0 .. trials-1) as every other single-shot command. *)
-      let outcomes =
-        Simkit.Trial.collect_par ~trials ~master:seed ~salt0:0 (fun rng ->
-            K.run Epidemic.Kernels.seir g params rng)
-      in
+      let outcomes = collect ~seed ~trials (K.run Epidemic.Kernels.seir g params) in
       let attack = Stats.Summary.create ()
       and peak = Stats.Summary.create ()
       and gen_r = Stats.Summary.create ()
@@ -1065,11 +1026,7 @@ let contact_cmd =
     let params =
       { K.default_params with K.start = 0; rate; horizon; persistent }
     in
-    (* Same salts (0 .. trials-1) as the old sequential loop. *)
-    let outcomes =
-      Simkit.Trial.collect_par ~trials ~master:seed ~salt0:0 (fun rng ->
-          K.run Epidemic.Kernels.contact g params rng)
-    in
+    let outcomes = collect ~seed ~trials (K.run Epidemic.Kernels.contact g params) in
     let died = ref 0 and full = ref 0 and active = ref 0 in
     let full_times = Stats.Summary.create () in
     Array.iter

@@ -35,37 +35,27 @@ let () =
       ]
   in
 
-  (* COBRA k=2 *)
-  let cobra_rounds = Array.make trials 0.0 and cobra_tx = Array.make trials 0.0 in
-  for i = 0 to trials - 1 do
-    let p = Cobra.Process.create g ~branching:Cobra.Branching.cobra_k2 ~start:[ 0 ] in
-    while not (Cobra.Process.is_covered p) do
-      Cobra.Process.step p rng
-    done;
-    cobra_rounds.(i) <- Float.of_int (Cobra.Process.round p);
-    cobra_tx.(i) <- Float.of_int (Cobra.Process.transmissions p)
-  done;
-  row "COBRA k=2" (mean cobra_rounds) (mean cobra_tx);
-
-  (* push and push-pull *)
-  let run_protocol f =
+  (* COBRA k=2, push and push-pull, each run to full information from
+     node 0 (the kernel defaults) *)
+  let run_protocol kernel =
     let rounds = Array.make trials 0.0 and tx = Array.make trials 0.0 in
     for i = 0 to trials - 1 do
-      match f g ~start:0 rng with
-      | Some o ->
-        rounds.(i) <- Float.of_int o.Cobra.Push.rounds;
-        tx.(i) <- Float.of_int o.Cobra.Push.transmissions
-      | None -> assert false
+      let o = Cobra.Kernel.run kernel g Cobra.Kernel.default_params rng in
+      assert o.completed;
+      rounds.(i) <- Float.of_int o.rounds;
+      tx.(i) <- Option.get (Cobra.Kernel.observation o "transmissions")
     done;
     (mean rounds, mean tx)
   in
-  let pr, pt = run_protocol (fun g -> Cobra.Push.push g) in
+  let cr, ct = run_protocol Cobra.Kernel.cobra in
+  row "COBRA k=2" cr ct;
+  let pr, pt = run_protocol Cobra.Kernel.push in
   row "push" pr pt;
-  let qr, qt = run_protocol (fun g -> Cobra.Push.push_pull g) in
+  let qr, qt = run_protocol Cobra.Kernel.push_pull in
   row "push-pull" qr qt;
 
   (* single random walk — the k = 1 degenerate case; steps = transmissions *)
-  (match Cobra.Rwalk.cover_time g ~start:0 rng with
+  (match Cobra.Kernel.(completion_time rwalk g default_params rng) with
   | Some steps -> row "random walk (k=1)" (Float.of_int steps) (Float.of_int steps)
   | None -> row "random walk (k=1)" Float.nan Float.nan);
 

@@ -12,11 +12,12 @@ let trials = 15
 
 let mean_cover g rng =
   let s = Stats.Summary.create () in
+  (* Kernel defaults: branching k = 2, start vertex 0. *)
+  let params =
+    { Cobra.Kernel.default_params with cap = Some (200 * Graph.View.n_vertices g) }
+  in
   for _ = 1 to trials do
-    match
-      Cobra.Process.cover_time ~cap:(200 * Graph.View.n_vertices g) g
-        ~branching:Cobra.Branching.cobra_k2 ~start:0 rng
-    with
+    match Cobra.Kernel.(completion_time cobra g params rng) with
     | Some t -> Stats.Summary.add_int s t
     | None -> ()
   done;

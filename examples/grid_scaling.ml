@@ -12,7 +12,8 @@ let trials = 10
 let mean_cover g rng =
   let s = Stats.Summary.create () in
   for _ = 1 to trials do
-    match Cobra.Process.cover_time g ~branching:Cobra.Branching.cobra_k2 ~start:0 rng with
+    (* Kernel defaults: branching k = 2, start vertex 0. *)
+    match Cobra.Kernel.(completion_time cobra g default_params rng) with
     | Some t -> Stats.Summary.add_int s t
     | None -> ()
   done;

@@ -20,21 +20,24 @@ let () =
   let g = Graph.View.of_csr (Graph.Gen.ring_of_cliques ~cliques:pens ~clique_size:pen_size) in
   let n = Graph.View.n_vertices g in
   Format.printf "herd: %d pens x %d animals — %a@.@." pens pen_size Graph.View.pp g;
+  (* Animal 0 is the newcomer: a PI animal when [persistent], otherwise a
+     transient index case. *)
   let params =
-    { Epidemic.Herd.contacts = Cobra.Branching.cobra_k2;
-      infectious_rounds = 2; immune_rounds = 8 }
+    { Cobra.Kernel.default_params with
+      branching = Cobra.Branching.cobra_k2; start = 0;
+      infectious_rounds = 2; immune_rounds = 8; cap = Some 200_000 }
   in
-  let scenario name ~pi ~index =
+  let scenario name ~persistent =
     let full = ref 0 and extinct = ref 0 in
     let rounds = Stats.Summary.create () in
     for i = 0 to trials - 1 do
       let rng = Prng.Rng.create (1000 + i) in
-      match Epidemic.Herd.run ~cap:200_000 g params ~pi ~index_cases:index rng with
-      | Epidemic.Herd.Herd_fully_exposed t ->
+      let o = Cobra.Kernel.run Epidemic.Kernels.herd g { params with persistent } rng in
+      if o.completed && Cobra.Kernel.observation o "ever" = Some (Float.of_int n) then begin
         incr full;
-        Stats.Summary.add_int rounds t
-      | Epidemic.Herd.Infection_extinct _ -> incr extinct
-      | Epidemic.Herd.No_resolution _ -> ()
+        Stats.Summary.add_int rounds o.rounds
+      end
+      else if o.completed then incr extinct
     done;
     Format.printf "%-28s full exposure %2d/%d, extinct %2d/%d%s@." name !full trials
       !extinct trials
@@ -42,12 +45,13 @@ let () =
          Format.asprintf ", rounds to full exposure %a" Stats.Summary.pp rounds
        else "")
   in
-  scenario "1 PI animal:" ~pi:[ 0 ] ~index:[];
-  scenario "1 transient index case:" ~pi:[] ~index:[ 0 ];
+  scenario "1 PI animal:" ~persistent:true;
+  scenario "1 transient index case:" ~persistent:false;
   let bips = Stats.Summary.create () in
   for i = 0 to trials - 1 do
     let rng = Prng.Rng.create (2000 + i) in
-    match Cobra.Bips.infection_time g ~branching:Cobra.Branching.cobra_k2 ~source:0 rng with
+    (* Kernel defaults: branching k = 2, persistent source at vertex 0. *)
+    match Cobra.Kernel.(completion_time bips g default_params rng) with
     | Some t -> Stats.Summary.add_int bips t
     | None -> ()
   done;

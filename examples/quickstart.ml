@@ -20,16 +20,20 @@ let () =
   Format.printf "Theorem 1 scale, log n / gap^3: %.0f rounds (the hidden constant is small)@."
     (Spectral.Gap.theorem1_bound ~n:10_000 gap);
 
-  (* 3. COBRA with branching factor 2: how many rounds to visit everyone? *)
+  (* 3. COBRA with branching factor 2: how many rounds to visit everyone?
+     Every process is a Cobra.Kernel, run to completion (here: cover) or
+     its round cap; [start] is the start vertex. *)
   let branching = Cobra.Branching.cobra_k2 in
-  (match Cobra.Process.cover_time g ~branching ~start:0 rng with
+  let params = { Cobra.Kernel.default_params with branching; start = 0 } in
+  (match Cobra.Kernel.completion_time Cobra.Kernel.cobra g params rng with
   | Some rounds ->
     Format.printf "COBRA covered all %d vertices in %d rounds (log2 n = %.1f)@."
       10_000 rounds (log (10_000.0) /. log 2.0)
   | None -> Format.printf "COBRA hit the round cap — should not happen here@.");
 
-  (* 4. The dual epidemic: one persistently infected vertex infects all. *)
-  (match Cobra.Bips.infection_time g ~branching ~source:0 rng with
+  (* 4. The dual epidemic: the persistently infected source ([start])
+     infects all. *)
+  (match Cobra.Kernel.completion_time Cobra.Kernel.bips g params rng with
   | Some rounds -> Format.printf "BIPS infected the whole graph in %d rounds@." rounds
   | None -> Format.printf "BIPS hit the round cap — should not happen here@.");
 

@@ -79,19 +79,6 @@ let step p rng =
 
 let default_cap g = 10_000 + (100 * Graph.View.n_vertices g)
 
-let infection_time ?cap g ~branching ~source rng =
-  let cap = match cap with Some c -> c | None -> default_cap g in
-  let p = create g ~branching ~source in
-  let rec go () =
-    if is_saturated p then Some p.round
-    else if p.round >= cap then None
-    else begin
-      step p rng;
-      go ()
-    end
-  in
-  go ()
-
 let size_trajectory ?cap g ~branching ~source rng =
   let cap = match cap with Some c -> c | None -> default_cap g in
   let p = create g ~branching ~source in

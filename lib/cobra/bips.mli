@@ -45,15 +45,12 @@ val step : t -> Prng.Rng.t -> unit
 (** [reset p ~source] rewinds to round 0 with a new source. *)
 val reset : t -> source:int -> unit
 
-(** {1 One-shot measurements} *)
+(** {1 One-shot measurements}
 
-(** [infection_time ?cap g ~branching ~source rng] is the first round with
-    [A_t = V], or [None] if [cap] rounds pass (default
-    [10_000 + 100 * n]). *)
-val infection_time :
-  ?cap:int -> Graph.View.t -> branching:Branching.t -> source:int -> Prng.Rng.t -> int option
+    Infection-time runs are the {!Kernel.bips} kernel. *)
 
 (** [size_trajectory ?cap g ~branching ~source rng] records [|A_t|] for
-    [t = 0, 1, ...] until saturation (or cap) — Lemma 1's growth data. *)
+    [t = 0, 1, ...] until saturation (or [cap] rounds, default
+    [10_000 + 100 * n]) — Lemma 1's growth data. *)
 val size_trajectory :
   ?cap:int -> Graph.View.t -> branching:Branching.t -> source:int -> Prng.Rng.t -> int array

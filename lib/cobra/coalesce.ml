@@ -46,17 +46,3 @@ let walkers t = t.walkers
 let merged t = t.walkers - t.clusters
 let round t = t.round
 let is_consensus t = t.clusters = 1
-
-(* Coalescing time is bounded by pairwise meeting times, which scale like
-   the walk's cover time — reuse the random-walk kernel's generous cap. *)
-let default_cap g =
-  let n = Graph.View.n_vertices g in
-  (100 * n * n) + 10_000
-
-let consensus_time ?cap g ~walkers ~start rng =
-  let cap = match cap with Some c -> c | None -> default_cap g in
-  let t = create g ~walkers ~start in
-  while (not (is_consensus t)) && round t < cap do
-    step t rng
-  done;
-  if is_consensus t then Some (round t) else None

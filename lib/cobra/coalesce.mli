@@ -21,8 +21,8 @@
     Parity caveat: the chain is synchronous — every cluster moves every
     round — so on a bipartite graph (even cycles, hypercubes) two
     clusters seeded in different colour classes can never occupy the
-    same vertex and consensus is unreachable; {!consensus_time} then
-    runs to its cap and returns [None]. Use non-bipartite graphs (odd
+    same vertex and consensus is unreachable; a {!Kernel.coalesce} run
+    then stops at its cap, incomplete. Use non-bipartite graphs (odd
     cycles, cliques) or same-parity starts when consensus matters. *)
 
 type t
@@ -55,13 +55,3 @@ val round : t -> int
 (** [is_consensus t] — one cluster left (true immediately when
     [walkers = 1]). *)
 val is_consensus : t -> bool
-
-(** [default_cap g] — the round cap {!consensus_time} applies by
-    default; coalescing can be as slow as meeting times, so it scales
-    like the random-walk cap. *)
-val default_cap : Graph.View.t -> int
-
-(** [consensus_time ?cap g ~walkers ~start rng] runs to consensus and
-    returns the round it was reached; [None] if [cap] rounds pass. *)
-val consensus_time :
-  ?cap:int -> Graph.View.t -> walkers:int -> start:int -> Prng.Rng.t -> int option

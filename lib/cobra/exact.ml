@@ -759,7 +759,7 @@ let pull_step_dist g ~infected =
 (* One push-pull round by brute force over joint contact vectors: every
    vertex picks one uniform neighbour; information crosses each contact
    both ways against the previous informed set, matching
-   [Push.push_pull]'s synchronous apply. *)
+   [Kernel.push_pull]'s synchronous apply. *)
 let push_pull_next g mask ~add =
   let n = Graph.Csr.n_vertices g in
   let rec go u acc p =

@@ -179,7 +179,7 @@ val explore_position_dist : Graph.Csr.t -> start:int -> t:int -> (int * float) l
 val explore_cover_survival : Graph.Csr.t -> start:int -> t_max:int -> float array
 
 (** [pull_step_dist g ~infected] is the exact one-round transition of
-    the pull protocol ({!Cobra.Push.pull}): members stay informed and
+    the pull protocol ({!Cobra.Kernel.pull}): members stay informed and
     each uninformed vertex joins independently with probability
     [d_I(u) / deg u]. Product measure, sorted association list. *)
 val pull_step_dist : Graph.Csr.t -> infected:int list -> (int * float) list
@@ -189,7 +189,7 @@ val pull_step_dist : Graph.Csr.t -> infected:int list -> (int * float) list
 val pull_cover_survival : Graph.Csr.t -> start:int -> t_max:int -> float array
 
 (** [push_pull_step_dist g ~infected] is the exact one-round transition
-    of push-pull ({!Cobra.Push.push_pull}), by enumeration of all joint
+    of push-pull ({!Cobra.Kernel.push_pull}), by enumeration of all joint
     contact vectors (every vertex calls one uniform neighbour;
     information crosses each contact both ways). O(Π deg): small graphs
     only. *)

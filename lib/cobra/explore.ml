@@ -85,15 +85,3 @@ let visited_count t = t.visited_count
 let edges_traversed t = t.edges
 let round t = t.round
 let is_covered t = t.visited_count = Graph.View.n_vertices t.g
-
-let default_cap g =
-  let n = Graph.View.n_vertices g in
-  (100 * n * n) + 10_000
-
-let cover_time ?cap g ~start rng =
-  let cap = match cap with Some c -> c | None -> default_cap g in
-  let t = create g ~start in
-  while (not (is_covered t)) && round t < cap do
-    step t rng
-  done;
-  if is_covered t then Some (round t) else None

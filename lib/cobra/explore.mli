@@ -42,12 +42,3 @@ val round : t -> int
 
 (** [is_covered t] — every vertex visited at least once. *)
 val is_covered : t -> bool
-
-(** [default_cap g] — default round cap for {!cover_time}; matches the
-    simple walk's generous cap (the unvisited-edge walk is never slower
-    in expectation on the graphs we study). *)
-val default_cap : Graph.View.t -> int
-
-(** [cover_time ?cap g ~start rng] runs to vertex cover and returns the
-    number of steps; [None] if [cap] steps pass. *)
-val cover_time : ?cap:int -> Graph.View.t -> start:int -> Prng.Rng.t -> int option

@@ -49,16 +49,19 @@ type outcome = {
   observations : (string * float) list;
 }
 
-(* The loop shape of every historical one-shot driver: test completion
-   before each step, stop at the cap. For equal streams this performs the
-   identical sequence of per-round draws. *)
+let cap t g params = match params.cap with Some c -> c | None -> t.default_cap g
+
 let run t g params rng =
-  let cap = match params.cap with Some c -> c | None -> t.default_cap g in
+  let cap = cap t g params in
   let i = t.create g params in
   while (not (i.is_complete ())) && i.rounds () < cap do
     i.step rng
   done;
   { completed = i.is_complete (); rounds = i.rounds (); observations = i.observe () }
+
+let completion_time t g params rng =
+  let o = run t g params rng in
+  if o.completed then Some o.rounds else None
 
 let observation o key = List.assoc_opt key o.observations
 
@@ -110,17 +113,13 @@ let bips =
         });
   }
 
-(* Stepwise re-implementation of [Rwalk.cover_time] / [multi_cover_time]:
-   one step draws one uniform neighbour per walker, exactly the draws of
-   the one-shot loops. *)
+(* One step moves every walker along one uniform neighbour draw, in
+   walker order. *)
 let rwalk =
   {
     name = "rwalk";
     doc = "independent simple random walk(s), run to cover";
-    default_cap =
-      (fun g ->
-        let n = Graph.View.n_vertices g in
-        (100 * n * n) + 10_000);
+    default_cap = Rwalk.default_cap;
     create =
       (fun g params ->
         let n = Graph.View.n_vertices g in
@@ -152,10 +151,11 @@ let rwalk =
         });
   }
 
-(* Stepwise re-implementation of one [Push.push] round: same informed-set
-   scan order (Bitset.iter is the increasing-order word scan, matching
-   the library's loop), same checked neighbour draws, same synchronous
-   apply. *)
+(* One push round: every informed vertex, in increasing order
+   ([Bitset.iter] is the increasing word scan, so sparse early rounds on
+   a large universe skip empty words), pushes to one checked neighbour
+   draw; informing applies synchronously after the scan, as in the COBRA
+   round structure. *)
 let push =
   {
     name = "push";
@@ -201,8 +201,8 @@ let push =
         });
   }
 
-(* Stepwise re-implementation of one [Push.pull] round: only uninformed
-   vertices draw, in increasing vertex order, then synchronous apply. *)
+(* One pull round: only uninformed vertices draw, in increasing vertex
+   order; informed vertices stay silent. Synchronous apply, as in push. *)
 let pull =
   {
     name = "pull";
@@ -248,10 +248,9 @@ let pull =
         });
   }
 
-(* Stepwise re-implementation of one [Push.push_pull] round: every vertex
-   contacts one random neighbour in increasing order, information crosses
-   the contact both ways, then synchronous apply (same list-prepend order
-   as the library loop). *)
+(* One push-pull round: every vertex contacts one random neighbour in
+   increasing order and information crosses the contact both ways; the
+   newly informed apply synchronously, in list-prepend order. *)
 let push_pull =
   {
     name = "push-pull";
@@ -296,12 +295,13 @@ let push_pull =
         });
   }
 
-(* Thin wrapper over [Coalesce]: same module, same stream. *)
+(* Coalescing time is bounded by pairwise meeting times, which scale like
+   the walk's cover time: the walk's generous cap. *)
 let coalesce =
   {
     name = "coalesce";
     doc = "coalescing random walks with voting, run to consensus";
-    default_cap = Coalesce.default_cap;
+    default_cap = Rwalk.default_cap;
     create =
       (fun g params ->
         let p = Coalesce.create g ~walkers:params.walkers ~start:params.start in
@@ -320,12 +320,13 @@ let coalesce =
         });
   }
 
-(* Thin wrapper over [Explore]: same module, same stream. *)
+(* The unvisited-edge walk is never slower in expectation than the simple
+   walk on the graphs studied here: the walk's cap. *)
 let explore =
   {
     name = "explore";
     doc = "unvisited-edge-preferring walk, run to cover";
-    default_cap = Explore.default_cap;
+    default_cap = Rwalk.default_cap;
     create =
       (fun g params ->
         let p = Explore.create g ~start:params.start in

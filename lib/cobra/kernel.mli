@@ -8,20 +8,17 @@
     signature: [create] builds mutable round-based state, [step] plays
     one round against an explicit stream, [is_complete] tests the
     process's own absorption condition, and [observe] reads named
-    numeric observables of the current state. One driver loop
-    ({!run}) therefore serves every process; the sweep subsystem
-    ([Simkit.Campaign] + the [sweep] CLI) and the single-shot CLI
-    subcommands both build on it.
+    numeric observables of the current state. Each kernel is the only
+    implementation of its process, and {!run} is the only loop that runs
+    a process to completion: the sweep subsystem ([Simkit.Campaign] +
+    the [sweep] CLI), the single-shot CLI subcommands, the experiments,
+    examples and benchmarks all build on it.
 
-    The contract that makes kernel-driven execution interchangeable
-    with the historical per-process loops ([Process.cover_time],
-    [Bips.infection_time], [Epidemic.Sis.run], ...): a kernel's [step]
-    consumes {e exactly} the randomness of one round of the process it
-    wraps, and {!run}'s loop — step while not complete and under the
-    cap — performs the same sequence of [step] calls as those loops.
-    [test/sweep] pins this stream-for-stream equivalence for all twelve
-    kernels, and [test/cli]'s golden transcripts pin the resulting CLI
-    output byte-for-byte. *)
+    A kernel's [step] consumes {e exactly} the randomness of one round
+    of its process, so a run is a pure function of its input stream.
+    Golden rows in [test/sweep] and [test/cobra] pin every kernel's
+    stream to the values its historical one-shot driver produced, and
+    [test/cli]'s transcripts pin the CLI output byte-for-byte. *)
 
 (** The union of the knobs the processes understand. Each kernel reads
     the fields relevant to it and ignores the rest; {!default_params}
@@ -60,8 +57,7 @@ type t = {
   name : string;  (** CLI / grid identifier, e.g. ["cobra"] *)
   doc : string;  (** one-line description *)
   default_cap : Graph.View.t -> int;
-      (** the cap {!run} applies when [params.cap = None]; matches the
-          wrapped process's historical default *)
+      (** the cap {!run} applies when [params.cap = None] *)
   create : Graph.View.t -> params -> instance;
 }
 
@@ -72,11 +68,24 @@ type outcome = {
   observations : (string * float) list;  (** final [observe] *)
 }
 
+(** [round_cap g] is [10_000 + 100 * n]: the default cap of every
+    kernel except the walks ([rwalk], [coalesce] and [explore] use
+    [Rwalk.default_cap]) and the event-driven contact process. *)
+val round_cap : Graph.View.t -> int
+
+(** [cap t g params] is the round cap {!run} applies: [params.cap], or
+    [t.default_cap g] when that is [None]. *)
+val cap : t -> Graph.View.t -> params -> int
+
 (** [run t g params rng] creates an instance and steps it until
-    [is_complete] or [params.cap] (default [t.default_cap g]) rounds.
-    The loop is the exact shape of the historical one-shot drivers, so
-    for equal input streams the results coincide bit-for-bit. *)
+    [is_complete] or [cap t g params] rounds. Completion is tested
+    before each step, so a process complete at the start plays no
+    round. *)
 val run : t -> Graph.View.t -> params -> Prng.Rng.t -> outcome
+
+(** [completion_time t g params rng] is [Some rounds] when {!run}
+    completes and [None] when the cap stops it. *)
+val completion_time : t -> Graph.View.t -> params -> Prng.Rng.t -> int option
 
 (** [observation o key] looks a named observable up in [o]. *)
 val observation : outcome -> string -> float option
@@ -95,27 +104,34 @@ val cobra : t
     ["rounds"; "infected"]. *)
 val bips : t
 
-(** Simple random walk(s) from [start] ([params.walkers] independent
-    walkers; 1 reproduces [Rwalk.cover_time], more reproduces
-    [Rwalk.multi_cover_time]): complete at cover. Observes
+(** Simple random walk(s) from [start]: [params.walkers >= 1]
+    independent walkers move in synchronous rounds, each along one
+    uniform neighbour draw, in walker order; complete when their union
+    has visited every vertex. One walker is the COBRA [k = 1] baseline;
+    several are the "many random walks" model of Alon et al. (the
+    paper's reference [1]), which speeds cover up by at most a factor
+    ~[walkers]. Default cap [Rwalk.default_cap]. Observes
     ["rounds"; "visited"]. *)
 val rwalk : t
 
-(** Push rumour spreading: complete when everyone is informed. Observes
+(** Push rumour spreading: each round every informed vertex pushes to
+    one random neighbour, forever — so, unlike COBRA, late rounds spend
+    transmissions on an almost fully informed graph. Complete when
+    everyone is informed. Observes
     ["rounds"; "informed"; "transmissions"]. *)
 val push : t
 
-(** Pull rumour spreading ([Push.pull];
-    Fountoulakis–Panagiotou, see PAPERS.md): each round every uninformed
-    vertex calls one random neighbour and copies the rumour if the
-    callee knows it. Complete when everyone is informed. Observes
-    ["rounds"; "informed"; "transmissions"]. *)
+(** Pull rumour spreading (Fountoulakis–Panagiotou, see PAPERS.md):
+    each round every uninformed vertex calls one random neighbour and
+    copies the rumour if the callee knows it. Only uninformed vertices
+    draw, in increasing vertex order. Complete when everyone is
+    informed. Observes ["rounds"; "informed"; "transmissions"]. *)
 val pull : t
 
-(** Push-pull rumour spreading ([Push.push_pull];
-    Fountoulakis–Panagiotou, see PAPERS.md): each round every vertex
-    contacts one random neighbour and information crosses the contact
-    both ways. Complete when everyone is informed. Observes
+(** Push-pull rumour spreading (Fountoulakis–Panagiotou, see
+    PAPERS.md): each round every vertex, in increasing order, contacts
+    one random neighbour and information crosses the contact both ways.
+    Complete when everyone is informed. Observes
     ["rounds"; "informed"; "transmissions"]. *)
 val push_pull : t
 

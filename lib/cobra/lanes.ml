@@ -36,7 +36,6 @@ let ctz x =
   let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
   let x = (x + (x lsr 4)) land 0x0F0F0F0F in
   (x * 0x01010101) lsr 24 land 0x3F
-let round_cap g = 10_000 + (100 * Graph.View.n_vertices g)
 
 type instance = {
   step : live_lo:int -> live_hi:int -> unit;
@@ -47,7 +46,6 @@ type instance = {
 
 type t = {
   name : string;
-  default_cap : Graph.View.t -> int;
   supports : Kernel.params -> bool;
   create : Graph.View.t -> Kernel.params -> Prng.Lanes.t -> instance;
 }
@@ -262,12 +260,9 @@ end
 (* ------------------------------------------------------------------ *)
 (* Batch driver                                                        *)
 
-let run_batch t g params gen ~n_active =
+let run_batch t g params gen ~n_active ~cap =
   if n_active < 1 || n_active > Lanemat.lanes then
     invalid_arg "Lanes.run_batch: n_active outside [1, 64]";
-  let cap =
-    match params.Kernel.cap with Some c -> c | None -> t.default_cap g
-  in
   let active_lo, active_hi = Lanemat.lane_mask n_active in
   let inst = t.create g params gen in
   let finish = Array.make Lanemat.lanes (-1) in
@@ -323,7 +318,6 @@ let check_start g start =
 let bips =
   {
     name = "bips";
-    default_cap = round_cap;
     supports = (fun p -> Slice.supported p.Kernel.branching);
     create =
       (fun g params gen ->
@@ -404,7 +398,6 @@ let bips =
 let cobra =
   {
     name = "cobra";
-    default_cap = round_cap;
     supports = (fun p -> Slice.supported p.Kernel.branching);
     create =
       (fun g params gen ->
@@ -488,7 +481,6 @@ let cobra =
 let push =
   {
     name = "push";
-    default_cap = round_cap;
     supports = (fun _ -> true);
     create =
       (fun g params gen ->

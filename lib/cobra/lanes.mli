@@ -42,19 +42,18 @@ type instance = {
     engine when it is [false]. *)
 type t = {
   name : string;
-  default_cap : Graph.View.t -> int;
   supports : Kernel.params -> bool;
   create : Graph.View.t -> Kernel.params -> Prng.Lanes.t -> instance;
 }
 
-(** [run_batch t g params gen ~n_active] drives one batch of
-    [n_active <= 64] trials to per-lane completion or the round cap
-    ([params.cap], default [t.default_cap g]) and returns one
-    {!Kernel.outcome} per trial, lane [j] first. Censored lanes report
-    [rounds = cap] and [completed = false], like the scalar
-    {!Kernel.run}. *)
+(** [run_batch t g params gen ~n_active ~cap] drives one batch of
+    [n_active <= 64] trials to per-lane completion or [cap] rounds and
+    returns one {!Kernel.outcome} per trial, lane [j] first. Censored
+    lanes report [rounds = cap] and [completed = false], like the
+    scalar {!Kernel.run}. The caller passes the scalar kernel's
+    {!Kernel.cap}, so both engines stop a trial at the same round. *)
 val run_batch :
-  t -> Graph.View.t -> Kernel.params -> Prng.Lanes.t -> n_active:int ->
+  t -> Graph.View.t -> Kernel.params -> Prng.Lanes.t -> n_active:int -> cap:int ->
   Kernel.outcome array
 
 (** COBRA cover, sliced. Observes ["rounds"; "visited"; "frontier"] —

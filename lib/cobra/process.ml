@@ -119,19 +119,6 @@ let step p rng =
 
 let default_cap g = 10_000 + (100 * Graph.View.n_vertices g)
 
-let cover_time ?cap g ~branching ~start rng =
-  let cap = match cap with Some c -> c | None -> default_cap g in
-  let p = create g ~branching ~start:[ start ] in
-  let rec go () =
-    if is_covered p then Some p.round
-    else if p.round >= cap then None
-    else begin
-      step p rng;
-      go ()
-    end
-  in
-  go ()
-
 let hitting_time ?cap g ~branching ~start ~target rng =
   let cap = match cap with Some c -> c | None -> default_cap g in
   let p = create g ~branching ~start:[ start ] in

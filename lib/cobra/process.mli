@@ -51,13 +51,10 @@ val step : t -> Prng.Rng.t -> unit
     allocated buffers. *)
 val reset : t -> start:int list -> unit
 
-(** {1 One-shot measurements} *)
+(** {1 One-shot measurements}
 
-(** [cover_time ?cap g ~branching ~start rng] runs until covered and
-    returns the number of rounds, or [None] if [cap] rounds (default
-    [10_000 + 100 * n]) pass first. *)
-val cover_time :
-  ?cap:int -> Graph.View.t -> branching:Branching.t -> start:int -> Prng.Rng.t -> int option
+    Cover runs are the {!Kernel.cobra} kernel. The drivers below take
+    [?cap] rounds, default [10_000 + 100 * n]. *)
 
 (** [hitting_time ?cap g ~branching ~start ~target rng] is the first round
     at which [target] becomes active (0 if [target = start]), or [None] on

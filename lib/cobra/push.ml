@@ -1,104 +1,7 @@
-module Bitset = Dstruct.Bitset
-module Intvec = Dstruct.Intvec
-
 type outcome = { rounds : int; transmissions : int }
 
 let check g v =
   if v < 0 || v >= Graph.View.n_vertices g then invalid_arg "Push: vertex out of range"
-
-let default_cap g = 10_000 + (100 * Graph.View.n_vertices g)
-
-let push ?cap g ~start rng =
-  check g start;
-  let n = Graph.View.n_vertices g in
-  let cap = match cap with Some c -> c | None -> default_cap g in
-  let informed = Bitset.create n in
-  Bitset.add informed start;
-  let newly = Intvec.create ~capacity:64 () in
-  let count = ref 1 and rounds = ref 0 and transmissions = ref 0 in
-  while !count < n && !rounds < cap do
-    (* Collect this round's pushes against the current informed set, then
-       apply: informing is synchronous, as in the COBRA round structure.
-       [Bitset.iter] visits the informed vertices in increasing order —
-       exactly the vertices the old [for u = 0 to n - 1] membership scan
-       drew for, in the same order — but skips empty words, so early
-       sparse rounds on a large universe no longer pay O(n). [w] comes
-       from the adjacency array, hence the unchecked membership test. *)
-    Intvec.clear newly;
-    Bitset.iter
-      (fun u ->
-        incr transmissions;
-        let w = Graph.View.random_neighbour g rng u in
-        if not (Bitset.unsafe_mem informed w) then Intvec.push newly w)
-      informed;
-    Intvec.iter
-      (fun w ->
-        if not (Bitset.unsafe_mem informed w) then begin
-          Bitset.unsafe_add informed w;
-          incr count
-        end)
-      newly;
-    incr rounds
-  done;
-  if !count = n then Some { rounds = !rounds; transmissions = !transmissions } else None
-
-let pull ?cap g ~start rng =
-  check g start;
-  let n = Graph.View.n_vertices g in
-  let cap = match cap with Some c -> c | None -> default_cap g in
-  let informed = Bitset.create n in
-  Bitset.add informed start;
-  let newly = Intvec.create ~capacity:64 () in
-  let count = ref 1 and rounds = ref 0 and transmissions = ref 0 in
-  while !count < n && !rounds < cap do
-    (* Every uninformed vertex calls one random neighbour and copies the
-       rumour if the callee knows it; informed vertices stay silent, so
-       only the uninformed side draws.  Synchronous apply, as in push. *)
-    Intvec.clear newly;
-    for u = 0 to n - 1 do
-      if not (Bitset.mem informed u) then begin
-        incr transmissions;
-        let w = Graph.View.random_neighbour g rng u in
-        if Bitset.unsafe_mem informed w then Intvec.push newly u
-      end
-    done;
-    Intvec.iter
-      (fun w ->
-        if not (Bitset.unsafe_mem informed w) then begin
-          Bitset.unsafe_add informed w;
-          incr count
-        end)
-      newly;
-    incr rounds
-  done;
-  if !count = n then Some { rounds = !rounds; transmissions = !transmissions } else None
-
-let push_pull ?cap g ~start rng =
-  check g start;
-  let n = Graph.View.n_vertices g in
-  let cap = match cap with Some c -> c | None -> default_cap g in
-  let informed = Bitset.create n in
-  Bitset.add informed start;
-  let count = ref 1 and rounds = ref 0 and transmissions = ref 0 in
-  while !count < n && !rounds < cap do
-    let newly = ref [] in
-    for u = 0 to n - 1 do
-      incr transmissions;
-      let w = Graph.View.random_neighbour g rng u in
-      let iu = Bitset.mem informed u and iw = Bitset.mem informed w in
-      if iu && not iw then newly := w :: !newly
-      else if iw && not iu then newly := u :: !newly
-    done;
-    List.iter
-      (fun w ->
-        if not (Bitset.mem informed w) then begin
-          Bitset.add informed w;
-          incr count
-        end)
-      !newly;
-    incr rounds
-  done;
-  if !count = n then Some { rounds = !rounds; transmissions = !transmissions } else None
 
 let flood g ~start =
   check g start;

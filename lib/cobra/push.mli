@@ -1,33 +1,14 @@
-(** Classical rumour-spreading baselines for the transmission-budget
-    comparison (experiment E11).
-
-    In the {e push} protocol every informed vertex pushes to one random
-    neighbour {e every} round, forever — so late rounds waste transmissions
-    on an almost-fully-informed graph. COBRA instead silences vertices that
-    are not re-activated. {e Flooding} sends to all neighbours each round:
-    fastest possible rounds, maximal transmissions. *)
+(** Flooding, the deterministic broadcast baseline for the
+    transmission-budget comparison (experiment E11): every informed
+    vertex sends to all neighbours each round — fastest possible rounds,
+    maximal transmissions. The randomized protocols it is compared with
+    are the {!Kernel.push}, {!Kernel.pull} and {!Kernel.push_pull}
+    kernels. *)
 
 type outcome = {
   rounds : int;  (** rounds until all vertices informed *)
   transmissions : int;  (** total messages sent over all rounds *)
 }
-
-(** [push ?cap g ~start rng] runs the push protocol until everyone is
-    informed; [None] if [cap] rounds pass (default [10_000 + 100 * n]). *)
-val push : ?cap:int -> Graph.View.t -> start:int -> Prng.Rng.t -> outcome option
-
-(** [pull ?cap g ~start rng] — each round every {e uninformed} vertex
-    calls one random neighbour and copies the rumour if the callee knows
-    it (Fountoulakis–Panagiotou, "Rumor Spreading on Random Regular
-    Graphs and Expanders"; see PAPERS.md).  Only uninformed vertices
-    draw, in increasing vertex order. *)
-val pull : ?cap:int -> Graph.View.t -> start:int -> Prng.Rng.t -> outcome option
-
-(** [push_pull ?cap g ~start rng] — each round every vertex contacts one
-    random neighbour; information flows both ways across the contact
-    (Fountoulakis–Panagiotou; see PAPERS.md).  All [n] vertices draw, in
-    increasing vertex order. *)
-val push_pull : ?cap:int -> Graph.View.t -> start:int -> Prng.Rng.t -> outcome option
 
 (** [flood g ~start] — deterministic flooding; rounds equal the start
     vertex's eccentricity. *)

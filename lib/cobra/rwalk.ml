@@ -1,5 +1,3 @@
-module Bitset = Dstruct.Bitset
-
 let check g v =
   if v < 0 || v >= Graph.View.n_vertices g then invalid_arg "Rwalk: vertex out of range"
 
@@ -9,30 +7,7 @@ let default_cap g =
 
 (* The walk positions stay in range by construction ([start] is checked
    on entry, every later position is an adjacency entry), so the loops
-   below use the unchecked CSR/bitset accessors. *)
-
-let cover_time ?cap g ~start rng =
-  check g start;
-  let n = Graph.View.n_vertices g in
-  let cap = match cap with Some c -> c | None -> default_cap g in
-  let seen = Bitset.create n in
-  Bitset.add seen start;
-  let rec go pos steps remaining =
-    if remaining = 0 then Some steps
-    else if steps >= cap then None
-    else begin
-      let next = Graph.View.unsafe_random_neighbour g rng pos in
-      let remaining =
-        if Bitset.unsafe_mem seen next then remaining
-        else begin
-          Bitset.unsafe_add seen next;
-          remaining - 1
-        end
-      in
-      go next (steps + 1) remaining
-    end
-  in
-  go start 0 (n - 1)
+   below use the unchecked neighbour accessor. *)
 
 let hitting_time ?cap g ~start ~target rng =
   check g start;
@@ -44,29 +19,6 @@ let hitting_time ?cap g ~start ~target rng =
     else go (Graph.View.unsafe_random_neighbour g rng pos) (steps + 1)
   in
   go start 0
-
-let multi_cover_time ?cap g ~walkers ~start rng =
-  check g start;
-  if walkers < 1 then invalid_arg "Rwalk.multi_cover_time: walkers >= 1";
-  let n = Graph.View.n_vertices g in
-  let cap = match cap with Some c -> c | None -> default_cap g in
-  let seen = Bitset.create n in
-  Bitset.add seen start;
-  let positions = Array.make walkers start in
-  let remaining = ref (n - 1) in
-  let rounds = ref 0 in
-  while !remaining > 0 && !rounds < cap do
-    for w = 0 to walkers - 1 do
-      let next = Graph.View.unsafe_random_neighbour g rng positions.(w) in
-      positions.(w) <- next;
-      if not (Bitset.unsafe_mem seen next) then begin
-        Bitset.unsafe_add seen next;
-        decr remaining
-      end
-    done;
-    incr rounds
-  done;
-  if !remaining = 0 then Some !rounds else None
 
 let positions ?(steps = 1000) g ~start rng =
   check g start;

@@ -21,8 +21,6 @@ type t = {
   mutable round : int;
 }
 
-type outcome = Herd_fully_exposed of int | Infection_extinct of int | No_resolution of int
-
 let create g params ~pi ~index_cases =
   let n = Graph.View.n_vertices g in
   if n = 0 then invalid_arg "Herd.create: empty graph";
@@ -126,20 +124,3 @@ let step h rng =
       end)
     !newly_infected;
   h.round <- h.round + 1
-
-let default_cap g = 10_000 + (100 * Graph.View.n_vertices g)
-
-let run ?cap g params ~pi ~index_cases rng =
-  let cap = match cap with Some c -> c | None -> default_cap g in
-  let h = create g params ~pi ~index_cases in
-  let n = Graph.View.n_vertices g in
-  let rec go () =
-    if h.ever_count = n then Herd_fully_exposed h.round
-    else if is_extinct h then Infection_extinct h.round
-    else if h.round >= cap then No_resolution h.round
-    else begin
-      step h rng;
-      go ()
-    end
-  in
-  go ()

@@ -20,7 +20,8 @@
 
     The headline measurement, matching [9]: with a PI animal present, how
     long until every animal has been exposed; without one, whether the
-    infection from a transient index case dies out. *)
+    infection from a transient index case dies out. The
+    [Epidemic.Kernels.herd] kernel runs the model to either end. *)
 
 type status = Susceptible | Transient | Immune | Persistent
 
@@ -59,20 +60,3 @@ val ever_exposed_count : t -> int
 (** [is_extinct h] — no infectious animal remains (impossible with a PI
     animal present). *)
 val is_extinct : t -> bool
-
-type outcome =
-  | Herd_fully_exposed of int  (** all animals exposed by the given round *)
-  | Infection_extinct of int
-      (** infection died with some animals never exposed *)
-  | No_resolution of int  (** cap reached *)
-
-(** [run ?cap g params ~pi ~index_cases rng] steps to full exposure or
-    extinction (default cap [10_000 + 100 * n]). *)
-val run :
-  ?cap:int ->
-  Graph.View.t ->
-  params ->
-  pi:int list ->
-  index_cases:int list ->
-  Prng.Rng.t ->
-  outcome

@@ -2,13 +2,11 @@ module K = Cobra.Kernel
 
 let fi = float_of_int
 
-let round_cap g = 10_000 + (100 * Graph.View.n_vertices g)
-
 let sis =
   {
     K.name = "sis";
     doc = "discrete SIS epidemic, run to extinction or full exposure";
-    default_cap = round_cap;
+    default_cap = K.round_cap;
     create =
       (fun g params ->
         let n = Graph.View.n_vertices g in
@@ -96,7 +94,7 @@ let seir =
   {
     K.name = "seir";
     doc = "discrete SEIR epidemic with fixed latencies, run to absorption";
-    default_cap = round_cap;
+    default_cap = K.round_cap;
     create =
       (fun g params ->
         let p =
@@ -130,7 +128,7 @@ let herd =
   {
     K.name = "herd";
     doc = "BVDV-style herd model, run to full exposure or extinction";
-    default_cap = round_cap;
+    default_cap = K.round_cap;
     create =
       (fun g params ->
         let n = Graph.View.n_vertices g in

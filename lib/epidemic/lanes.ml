@@ -10,12 +10,10 @@ module Slice = Cobra.Lanes.Slice
 
 let full = 0xFFFFFFFF
 let fi = float_of_int
-let round_cap g = 10_000 + (100 * Graph.View.n_vertices g)
 
 let sis =
   {
     Cobra.Lanes.name = "sis";
-    default_cap = round_cap;
     supports = (fun p -> Slice.supported p.Cobra.Kernel.branching);
     create =
       (fun g params gen ->

@@ -164,20 +164,3 @@ let step p rng =
   if p.infectious_count > p.peak_infectious then
     p.peak_infectious <- p.infectious_count;
   p.round <- p.round + 1
-
-let default_cap g = 10_000 + (100 * Graph.View.n_vertices g)
-
-type outcome = { rounds : int; ever : int; peak : int; gen_r : float }
-
-let run ?cap g params ~index_cases rng =
-  let cap = match cap with Some c -> c | None -> default_cap g in
-  let p = create g params ~index_cases in
-  while (not (is_absorbed p)) && p.round < cap do
-    step p rng
-  done;
-  {
-    rounds = p.round;
-    ever = p.ever_count;
-    peak = p.peak_infectious;
-    gen_r = generational_r p;
-  }

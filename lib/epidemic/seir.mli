@@ -24,7 +24,8 @@
     generational reproduction number R — each new infection is
     attributed to generation [g + 1] where [g] is the earliest
     generation among the infectious contacts drawn, and R is the mean
-    successive generation-size ratio. *)
+    successive generation-size ratio. The [Epidemic.Kernels.seir]
+    kernel runs the process to absorption and reports all three. *)
 
 type status = Susceptible | Exposed | Infectious | Recovered
 
@@ -70,18 +71,3 @@ val is_absorbed : t -> bool
     over the non-empty generations so far; 0.0 while only generation 0
     exists. *)
 val generational_r : t -> float
-
-val default_cap : Graph.View.t -> int
-
-type outcome = {
-  rounds : int;
-  ever : int;  (** attack count *)
-  peak : int;  (** peak infectious load *)
-  gen_r : float;  (** generational R *)
-}
-
-(** [run ?cap g params ~index_cases rng] steps to absorption (default
-    cap [10_000 + 100 * n], never binding in practice — absorption is
-    deterministic in at most [n * (latent + infectious)] rounds). *)
-val run :
-  ?cap:int -> Graph.View.t -> params -> index_cases:int list -> Prng.Rng.t -> outcome

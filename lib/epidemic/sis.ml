@@ -2,8 +2,6 @@ module Bitset = Dstruct.Bitset
 
 type params = { contacts : Cobra.Branching.t; recovery : float }
 
-type outcome = Extinct of int | Everyone_infected_once of int | Censored of int
-
 type t = {
   graph : Graph.View.t;
   params : params;
@@ -97,36 +95,13 @@ let step p rng =
   p.infected_count <- !count;
   p.round <- p.round + 1
 
-let default_cap g = 10_000 + (100 * Graph.View.n_vertices g)
-
-let finished p n =
-  if is_extinct p then Some (Extinct p.round)
-  else if p.ever_count = n then Some (Everyone_infected_once p.round)
-  else None
-
-let run ?cap g params ~persistent ~start rng =
-  let cap = match cap with Some c -> c | None -> default_cap g in
-  let p = create g params ~persistent ~start in
-  let n = Graph.View.n_vertices g in
-  let rec go () =
-    match finished p n with
-    | Some outcome -> outcome
-    | None ->
-      if p.round >= cap then Censored p.round
-      else begin
-        step p rng;
-        go ()
-      end
-  in
-  go ()
-
 let prevalence_trajectory ?cap g params ~persistent ~start rng =
-  let cap = match cap with Some c -> c | None -> default_cap g in
+  let cap = match cap with Some c -> c | None -> Cobra.Kernel.round_cap g in
   let p = create g params ~persistent ~start in
   let n = Graph.View.n_vertices g in
   let sizes = Dstruct.Intvec.create () in
   Dstruct.Intvec.push sizes p.infected_count;
-  while finished p n = None && p.round < cap do
+  while (not (is_extinct p)) && p.ever_count < n && p.round < cap do
     step p rng;
     Dstruct.Intvec.push sizes p.infected_count
   done;

@@ -23,13 +23,6 @@ type params = {
   recovery : float;  (** per-round recovery probability, in [0, 1] *)
 }
 
-type outcome =
-  | Extinct of int  (** no infected vertices remain, at the given round *)
-  | Everyone_infected_once of int
-      (** every vertex has been infected at least once, at the given
-          round *)
-  | Censored of int  (** neither happened within the cap *)
-
 type t
 
 (** [create g params ~persistent ~start] initialises with the vertices of
@@ -55,19 +48,11 @@ val ever_infected_count : t -> int
 (** [is_extinct p] is [infected_count p = 0]. *)
 val is_extinct : t -> bool
 
-(** [run ?cap g params ~persistent ~start rng] steps until extinction or
-    full exposure, whichever first (default cap [10_000 + 100 * n]). *)
-val run :
-  ?cap:int ->
-  Graph.View.t ->
-  params ->
-  persistent:int option ->
-  start:int list ->
-  Prng.Rng.t ->
-  outcome
-
 (** [prevalence_trajectory ?cap g params ~persistent ~start rng] records
-    the infected count per round until extinction/full exposure/cap. *)
+    the infected count per round until extinction, full exposure (every
+    vertex infected at least once) or [cap] rounds (default
+    {!Cobra.Kernel.round_cap}). Runs to those two stopping conditions
+    are the [Epidemic.Kernels.sis] kernel. *)
 val prevalence_trajectory :
   ?cap:int ->
   Graph.View.t ->

@@ -11,20 +11,23 @@ let expander ?(backend = `Heap) ~master ~tag ~n ~r () =
   | `Implicit ->
     invalid_arg "Common.expander: random regular graphs have no implicit form"
 
+module K = Cobra.Kernel
+
 (* The [_par] runners are bit-for-bit identical to the sequential ones
    (each trial derives its own stream from [salt0 + i] and lands in slot
    [i]), so every experiment parallelises over COBRA_DOMAINS for free
    without changing a single reported number. *)
 let cover_summary ?cap g ~branching ~start ~trials ~master ~tag =
-  Simkit.Trial.summarize_int_par ~trials ~master ~salt0:(salt_of ~tag) (fun rng ->
-      Cobra.Process.cover_time ?cap g ~branching ~start rng)
+  Simkit.Trial.summarize_int_par ~trials ~master ~salt0:(salt_of ~tag)
+    (K.completion_time K.cobra g { K.default_params with K.branching; start; cap })
 
 let infection_summary ?cap g ~branching ~source ~trials ~master ~tag =
-  Simkit.Trial.summarize_int_par ~trials ~master ~salt0:(salt_of ~tag) (fun rng ->
-      Cobra.Bips.infection_time ?cap g ~branching ~source rng)
+  Simkit.Trial.summarize_int_par ~trials ~master ~salt0:(salt_of ~tag)
+    (K.completion_time K.bips g
+       { K.default_params with K.branching; start = source; cap })
 
 let walk_cover_summary ?cap g ~start ~trials ~master ~tag =
-  Simkit.Trial.summarize_int_par ~trials ~master ~salt0:(salt_of ~tag) (fun rng ->
-      Cobra.Rwalk.cover_time ?cap g ~start rng)
+  Simkit.Trial.summarize_int_par ~trials ~master ~salt0:(salt_of ~tag)
+    (K.completion_time K.rwalk g { K.default_params with K.start; cap })
 
 let ln n = log (Float.of_int n)

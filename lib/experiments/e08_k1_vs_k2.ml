@@ -35,7 +35,8 @@ let run ~emit ~scale ~master =
       let multi, _ =
         Simkit.Trial.summarize_int ~trials ~master
           ~salt0:(Common.salt_of ~tag:(Printf.sprintf "e08m:%d" n))
-          (fun rng -> Cobra.Rwalk.multi_cover_time g ~walkers ~start:0 rng)
+          (Cobra.Kernel.completion_time Cobra.Kernel.rwalk g
+             { Cobra.Kernel.default_params with walkers })
       in
       let cobra, _ =
         Common.cover_summary g ~branching:Cobra.Branching.cobra_k2 ~start:0 ~trials

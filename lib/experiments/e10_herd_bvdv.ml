@@ -1,12 +1,15 @@
 module Scale = Simkit.Scale
 module A = Simkit.Artifact
 module B = Cobra.Branching
+module K = Cobra.Kernel
 
 (* Herd structure: pens of animals in dense contact (cliques) arranged in
    a ring with one shared fence-line contact between neighbouring pens —
    Graph.Gen.ring_of_cliques. Disease parameters loosely follow the BVDV
-   literature's shape: short transient infectiousness, longer immunity. *)
-let params = { Epidemic.Herd.contacts = B.cobra_k2; infectious_rounds = 2; immune_rounds = 8 }
+   literature's shape: short transient infectiousness, longer immunity.
+   The index animal is vertex 0, a PI animal when [persistent]. *)
+let params =
+  { K.default_params with K.branching = B.cobra_k2; infectious_rounds = 2; immune_rounds = 8 }
 
 let run ~emit ~scale ~master =
   let pens, pen_size =
@@ -19,30 +22,26 @@ let run ~emit ~scale ~master =
     (A.context
        [
          ("herd", Printf.sprintf "%d pens x %d animals (n=%d)" pens pen_size n);
-         ("infectious_rounds", string_of_int params.Epidemic.Herd.infectious_rounds);
-         ("immune_rounds", string_of_int params.Epidemic.Herd.immune_rounds);
+         ("infectious_rounds", string_of_int params.K.infectious_rounds);
+         ("immune_rounds", string_of_int params.K.immune_rounds);
          ("trials", string_of_int trials);
        ]);
-  let classify outcome =
-    match outcome with
-    | Epidemic.Herd.Herd_fully_exposed t -> `Full t
-    | Epidemic.Herd.Infection_extinct t -> `Extinct t
-    | Epidemic.Herd.No_resolution _ -> `Censored
-  in
-  let run_config ~tag ~pi ~index_cases =
+  let run_config ~tag ~persistent =
     let full = Stats.Summary.create () in
     let extinct = Stats.Summary.create () in
     let full_count = ref 0 and extinct_count = ref 0 and censored = ref 0 in
     for i = 0 to trials - 1 do
       let rng = Simkit.Seeds.trial_rng ~master ~salt:(Common.salt_of ~tag + i) in
-      match classify (Epidemic.Herd.run g params ~pi ~index_cases rng) with
-      | `Full t ->
+      let o = K.run Epidemic.Kernels.herd g { params with K.persistent } rng in
+      if not o.K.completed then incr censored
+      else if K.observation o "ever" = Some (float_of_int n) then begin
         incr full_count;
-        Stats.Summary.add_int full t
-      | `Extinct t ->
+        Stats.Summary.add_int full o.K.rounds
+      end
+      else begin
         incr extinct_count;
-        Stats.Summary.add_int extinct t
-      | `Censored -> incr censored
+        Stats.Summary.add_int extinct o.K.rounds
+      end
     done;
     (full, !full_count, extinct, !extinct_count, !censored)
   in
@@ -52,7 +51,7 @@ let run ~emit ~scale ~master =
         "censored" ]
   in
   let cell s count = if count = 0 then A.str "-" else A.summary s in
-  let fp, fpc, ep, epc, cp = run_config ~tag:"e10:pi" ~pi:[ 0 ] ~index_cases:[] in
+  let fp, fpc, ep, epc, cp = run_config ~tag:"e10:pi" ~persistent:true in
   A.Tab.add_row table
     [
       A.str "1 PI animal";
@@ -62,9 +61,7 @@ let run ~emit ~scale ~master =
       cell ep epc;
       A.int cp;
     ];
-  let ft, ftc, et, etc_, ct =
-    run_config ~tag:"e10:ti" ~pi:[] ~index_cases:[ 0 ]
-  in
+  let ft, ftc, et, etc_, ct = run_config ~tag:"e10:ti" ~persistent:false in
   A.Tab.add_row table
     [
       A.str "1 transient case";

@@ -1,20 +1,16 @@
 module Scale = Simkit.Scale
 module A = Simkit.Artifact
-module B = Cobra.Branching
+module K = Cobra.Kernel
 
 (* Protocol accounting: a COBRA vertex transmits at most k times per round
    and only while active; a push vertex transmits every round once
    informed; flooding transmits on every edge every round. Total
    transmissions until cover tell the cost story the paper's introduction
-   motivates. *)
-let cobra_outcome g rng =
-  let p = Cobra.Process.create g ~branching:B.cobra_k2 ~start:[ 0 ] in
-  let cap = 10_000 + (100 * Graph.View.n_vertices g) in
-  while (not (Cobra.Process.is_covered p)) && Cobra.Process.round p < cap do
-    Cobra.Process.step p rng
-  done;
-  if Cobra.Process.is_covered p then
-    Some (Cobra.Process.round p, Cobra.Process.transmissions p)
+   motivates. Every protocol starts at vertex 0 (COBRA with k = 2). *)
+let rounds_and_transmissions kernel g rng =
+  let o = K.run kernel g K.default_params rng in
+  if o.K.completed then
+    Some (o.K.rounds, int_of_float (Option.get (K.observation o "transmissions")))
   else None
 
 let summarise_pairs ~trials ~master ~tag f =
@@ -45,23 +41,14 @@ let run_graph ~emit ~name g ~trials ~master ~tag =
         A.floatf "%.2f" (Stats.Summary.mean tx /. n);
       ]
   in
-  let c_rounds, c_tx, _ =
-    summarise_pairs ~trials ~master ~tag:(tag ^ ":cobra") (cobra_outcome g)
+  let protocol kernel ~tag =
+    summarise_pairs ~trials ~master ~tag (rounds_and_transmissions kernel g)
   in
+  let c_rounds, c_tx, _ = protocol K.cobra ~tag:(tag ^ ":cobra") in
   add_protocol "COBRA k=2" c_rounds c_tx;
-  let p_rounds, p_tx, _ =
-    summarise_pairs ~trials ~master ~tag:(tag ^ ":push") (fun rng ->
-        Option.map
-          (fun o -> (o.Cobra.Push.rounds, o.Cobra.Push.transmissions))
-          (Cobra.Push.push g ~start:0 rng))
-  in
+  let p_rounds, p_tx, _ = protocol K.push ~tag:(tag ^ ":push") in
   add_protocol "push" p_rounds p_tx;
-  let pp_rounds, pp_tx, _ =
-    summarise_pairs ~trials ~master ~tag:(tag ^ ":pushpull") (fun rng ->
-        Option.map
-          (fun o -> (o.Cobra.Push.rounds, o.Cobra.Push.transmissions))
-          (Cobra.Push.push_pull g ~start:0 rng))
-  in
+  let pp_rounds, pp_tx, _ = protocol K.push_pull ~tag:(tag ^ ":pushpull") in
   add_protocol "push-pull" pp_rounds pp_tx;
   let flood = Cobra.Push.flood g ~start:0 in
   A.Tab.add_row table

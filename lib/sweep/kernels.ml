@@ -66,7 +66,8 @@ let run_scalar kernel g params ~trials ~master ~salt0 =
 (* The lane engine: trials advance 64 per batch, lane [j] of batch [b]
    being trial [b * 64 + j] on its own derived stream. A short final
    batch masks its unused lanes out of every reduction. *)
-let run_lanes s g params ~trials ~master ~salt0 =
+let run_lanes kernel s g params ~trials ~master ~salt0 =
+  let cap = Cobra.Kernel.cap kernel g params in
   let out = Array.make trials None in
   let b = ref 0 in
   while !b * batch < trials do
@@ -77,7 +78,7 @@ let run_lanes s g params ~trials ~master ~salt0 =
           Simkit.Seeds.trial_seed ~master ~salt:(salt0 + base + j))
     in
     let gen = Prng.Lanes.create seeds in
-    let outcomes = Cobra.Lanes.run_batch s g params gen ~n_active in
+    let outcomes = Cobra.Lanes.run_batch s g params gen ~n_active ~cap in
     Array.iteri (fun j o -> out.(base + j) <- Some o) outcomes;
     incr b
   done;
@@ -90,7 +91,7 @@ let run_trials ?(engine = `Scalar) kernel g params ~trials ~master ~salt0 =
   | `Lanes -> (
     match sliced kernel with
     | Some s when s.Cobra.Lanes.supports params ->
-      run_lanes s g params ~trials ~master ~salt0
+      run_lanes kernel s g params ~trials ~master ~salt0
     | Some _ | None ->
       (* No sliced stepper for this kernel (or these params): fall back
          to the scalar engine rather than failing the whole sweep. *)

@@ -1,9 +1,10 @@
 (* Tests for the core library: branching specs, the COBRA process, BIPS,
    the random-walk and push baselines, the exact small-graph engine (and
    through it Theorem 4), Monte-Carlo duality, and the Lemma 1 growth
-   machinery. *)
+   machinery. Runs to completion go through the Cobra.Kernel instances. *)
 
 module B = Cobra.Branching
+module K = Cobra.Kernel
 module Process = Cobra.Process
 module Bips = Cobra.Bips
 module Rwalk = Cobra.Rwalk
@@ -37,6 +38,9 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let close ?(eps = 1e-9) msg a b =
   if Float.abs (a -. b) > eps then Alcotest.failf "%s: %.8f vs %.8f" msg a b
+
+(* Kernel defaults: branching k = 2, start (or source) vertex 0. *)
+let p0 = K.default_params
 
 (* ---------- Branching ---------- *)
 
@@ -220,7 +224,7 @@ let test_distinct_cover_faster_sparse () =
   let mean branching =
     let s = Stats.Summary.create () in
     for _ = 1 to 15 do
-      match Process.cover_time g ~branching ~start:0 rng with
+      match K.completion_time K.cobra g { p0 with K.branching } rng with
       | Some t -> Stats.Summary.add_int s t
       | None -> Alcotest.fail "censored"
     done;
@@ -279,7 +283,7 @@ let test_process_transmissions_budget () =
 let test_process_cover_complete_graph () =
   let g = Gen.complete 64 in
   let rng = Rng.create 4 in
-  match Process.cover_time g ~branching:B.cobra_k2 ~start:0 rng with
+  match K.completion_time K.cobra g p0 rng with
   | None -> Alcotest.fail "did not cover K_64"
   | Some t ->
     (* at most doubling: need at least log2 n rounds *)
@@ -300,7 +304,7 @@ let test_process_cap_returns_none () =
   let g = Gen.cycle 100 in
   let rng = Rng.create 6 in
   check Alcotest.(option int) "cap hit" None
-    (Process.cover_time ~cap:2 g ~branching:B.cobra_k2 ~start:0 rng)
+    (K.completion_time K.cobra g { p0 with K.cap = Some 2 } rng)
 
 let test_process_hitting_time () =
   let g = Gen.cycle 10 in
@@ -397,7 +401,7 @@ let test_bips_source_persists () =
 let test_bips_saturates_complete () =
   let g = Gen.complete 32 in
   let rng = Rng.create 12 in
-  match Bips.infection_time g ~branching:B.cobra_k2 ~source:0 rng with
+  match K.completion_time K.bips g p0 rng with
   | None -> Alcotest.fail "no saturation on K_32"
   | Some t -> check Alcotest.bool "reasonable time" true (t >= 3 && t <= 100)
 
@@ -475,7 +479,7 @@ let test_walk_cover_cycle_mean () =
   let g = Gen.cycle 12 in
   let s = Stats.Summary.create () in
   for _ = 1 to 600 do
-    match Rwalk.cover_time g ~start:0 rng with
+    match K.completion_time K.rwalk g p0 rng with
     | Some t -> Stats.Summary.add_int s t
     | None -> Alcotest.fail "walk censored"
   done;
@@ -505,26 +509,26 @@ let test_walk_positions () =
 let test_push_informs_everyone () =
   let g = Gen.complete 32 in
   let rng = Rng.create 31 in
-  match Push.push g ~start:0 rng with
-  | None -> Alcotest.fail "push censored"
-  | Some o ->
-    check Alcotest.bool "rounds sane" true (o.Push.rounds >= 5 && o.Push.rounds <= 60);
-    check Alcotest.bool "transmissions >= n-1" true (o.Push.transmissions >= 31)
+  let o = K.run K.push g p0 rng in
+  check Alcotest.bool "informs everyone" true o.K.completed;
+  check Alcotest.bool "rounds sane" true (o.K.rounds >= 5 && o.K.rounds <= 60);
+  check Alcotest.bool "transmissions >= n-1" true
+    (Option.get (K.observation o "transmissions") >= 31.0)
 
 let test_push_pull_faster_than_push () =
   let g = Gen.complete 256 in
   let rng = Rng.create 32 in
-  let mean_of f =
+  let mean_of kernel =
     let s = Stats.Summary.create () in
     for _ = 1 to 10 do
-      match f () with
-      | Some o -> Stats.Summary.add_int s o.Push.rounds
+      match K.completion_time kernel g p0 rng with
+      | Some t -> Stats.Summary.add_int s t
       | None -> Alcotest.fail "censored"
     done;
     Stats.Summary.mean s
   in
-  let push = mean_of (fun () -> Push.push g ~start:0 rng) in
-  let pushpull = mean_of (fun () -> Push.push_pull g ~start:0 rng) in
+  let push = mean_of K.push in
+  let pushpull = mean_of K.push_pull in
   check Alcotest.bool "push-pull no slower" true (pushpull <= push +. 1.0)
 
 let test_flood () =
@@ -850,7 +854,7 @@ let test_exact_expected_cover_vs_mc () =
   let rng = Rng.create 61 in
   let s = Stats.Summary.create () in
   for _ = 1 to 40_000 do
-    match Process.cover_time g ~branching:B.cobra_k2 ~start:0 rng with
+    match K.completion_time K.cobra g p0 rng with
     | Some t -> Stats.Summary.add_int s t
     | None -> Alcotest.fail "censored"
   done;
@@ -874,29 +878,30 @@ let test_exact_cover_consistent_with_hit () =
 let test_multi_walk_basics () =
   let g = Gen.cycle 12 in
   let rng = Rng.create 62 in
-  (match Rwalk.multi_cover_time g ~walkers:4 ~start:0 rng with
+  (match K.completion_time K.rwalk g { p0 with K.walkers = 4 } rng with
   | Some t -> check Alcotest.bool "covers" true (t > 0)
   | None -> Alcotest.fail "censored");
-  Alcotest.check_raises "walkers >= 1"
-    (Invalid_argument "Rwalk.multi_cover_time: walkers >= 1") (fun () ->
-      ignore (Rwalk.multi_cover_time g ~walkers:0 ~start:0 rng))
+  Alcotest.check_raises "walkers >= 1" (Invalid_argument "Kernel.rwalk: walkers >= 1")
+    (fun () -> ignore (K.run K.rwalk g { p0 with K.walkers = 0 } rng))
 
 let test_multi_walk_one_equals_walk_order () =
-  (* walkers = 1 is the plain walk: same distribution, so means agree. *)
+  (* walkers = 1 is the plain walk, step for step: its cover time is the
+     first step at which the [Rwalk.positions] trajectory drawn from an
+     equal-seed stream has visited every vertex. *)
   let g = Gen.cycle 10 in
-  let rng = Rng.create 63 in
-  let mean f =
-    let s = Stats.Summary.create () in
-    for _ = 1 to 400 do
-      match f () with Some t -> Stats.Summary.add_int s t | None -> Alcotest.fail "cap"
-    done;
-    Stats.Summary.mean s
-  in
-  let single = mean (fun () -> Rwalk.cover_time g ~start:0 rng) in
-  let multi1 = mean (fun () -> Rwalk.multi_cover_time g ~walkers:1 ~start:0 rng) in
-  (* n=10 cycle: E = 45; sd of a 400-trial mean ~ 1.6; allow ~4 sd of the
-     difference *)
-  close ~eps:9.0 "walkers=1 matches single walk" single multi1
+  for seed = 1 to 20 do
+    let seen = Array.make 10 false and visited = ref 0 and cover = ref None in
+    Array.iteri
+      (fun step v ->
+        if not seen.(v) then begin
+          seen.(v) <- true;
+          incr visited;
+          if !visited = 10 then cover := Some step
+        end)
+      (Rwalk.positions ~steps:5000 g ~start:0 (Rng.create seed));
+    check Alcotest.(option int) "cover step" !cover
+      (K.completion_time K.rwalk g p0 (Rng.create seed))
+  done
 
 let test_multi_walk_speedup () =
   let rng = Rng.create 64 in
@@ -904,7 +909,7 @@ let test_multi_walk_speedup () =
   let mean walkers =
     let s = Stats.Summary.create () in
     for _ = 1 to 30 do
-      match Rwalk.multi_cover_time g ~walkers ~start:0 rng with
+      match K.completion_time K.rwalk g { p0 with K.walkers } rng with
       | Some t -> Stats.Summary.add_int s t
       | None -> Alcotest.fail "cap"
     done;
@@ -991,7 +996,7 @@ let test_bigger_k_not_slower () =
   let mean_time branching =
     let s = Stats.Summary.create () in
     for _ = 1 to 30 do
-      match Bips.infection_time g ~branching ~source:0 rng with
+      match K.completion_time K.bips g { p0 with K.branching } rng with
       | Some t -> Stats.Summary.add_int s t
       | None -> Alcotest.fail "censored"
     done;
@@ -1003,10 +1008,12 @@ let test_bigger_k_not_slower () =
 (* ---------- seed-revision golden values ----------
 
    These arrays were recorded from the seed revision of the simulators
-   (checked accessors, polymorphic compare) under fixed seeds. The
-   unchecked fast-path rewrite must consume the RNG streams identically,
-   so every value must stay bit-for-bit the same. If an intentional
-   engine change breaks them, re-record and say so in the PR. *)
+   (checked accessors, polymorphic compare) under fixed seeds, and are
+   now read through the Cobra.Kernel instances that replaced the
+   one-shot drivers. Every engine change must consume the RNG streams
+   identically, so every value must stay bit-for-bit the same. If an
+   intentional engine change breaks them, re-record and say so in the
+   PR. *)
 
 let golden_graph () =
   Graph.View.of_csr
@@ -1020,89 +1027,87 @@ let golden_collect ~salt0 ~trials f =
 
 let test_golden_cover_times () =
   let g = golden_graph () in
+  let cover branching = K.completion_time K.cobra g { p0 with K.branching } in
   check
     Alcotest.(array int)
     "cover, k=2" [| 22; 23; 24; 25; 21 |]
-    (golden_collect ~salt0:100 ~trials:5 (fun rng ->
-         Process.cover_time g ~branching:B.cobra_k2 ~start:0 rng));
+    (golden_collect ~salt0:100 ~trials:5 (cover B.cobra_k2));
   check
     Alcotest.(array int)
     "cover, distinct k=2" [| 16; 17; 18 |]
-    (golden_collect ~salt0:400 ~trials:3 (fun rng ->
-         Process.cover_time g ~branching:(B.distinct 2) ~start:0 rng));
+    (golden_collect ~salt0:400 ~trials:3 (cover (B.distinct 2)));
   check
     Alcotest.(array int)
     "cover, 1+rho=0.3" [| 60; 61; 74 |]
-    (golden_collect ~salt0:500 ~trials:3 (fun rng ->
-         Process.cover_time g ~branching:(B.one_plus 0.3) ~start:0 rng))
+    (golden_collect ~salt0:500 ~trials:3 (cover (B.one_plus 0.3)))
 
 let test_golden_infection_times () =
   let g = golden_graph () in
   check
     Alcotest.(array int)
     "bips, k=2" [| 24; 26; 24; 29; 27 |]
-    (golden_collect ~salt0:200 ~trials:5 (fun rng ->
-         Bips.infection_time g ~branching:B.cobra_k2 ~source:0 rng))
+    (golden_collect ~salt0:200 ~trials:5 (K.completion_time K.bips g p0))
 
 let test_golden_walk_cover_times () =
   let g = golden_graph () in
   check
     Alcotest.(array int)
     "random walk" [| 7377; 5437; 7961 |]
-    (golden_collect ~salt0:300 ~trials:3 (fun rng -> Rwalk.cover_time g ~start:0 rng))
+    (golden_collect ~salt0:300 ~trials:3 (K.completion_time K.rwalk g p0))
 
 (* Recorded from the revision immediately before the word-scan bitset
    rewrite (bit-by-bit Bitset.iter, full 0..n-1 informed scans). The
    word-parallel kernels must consume the RNG streams identically, so
    every value below must stay bit-for-bit the same. *)
 
+(* Observable [key] of a [kernel] run that informed everyone. *)
+let completed_observation kernel g key rng =
+  let o = K.run kernel g p0 rng in
+  if o.K.completed then Some (int_of_float (Option.get (K.observation o key)))
+  else None
+
 let test_golden_push () =
   let g = golden_graph () in
   check
     Alcotest.(array int)
     "push rounds" [| 31; 26; 28; 27; 28 |]
-    (golden_collect ~salt0:600 ~trials:5 (fun rng ->
-         Option.map (fun o -> o.Push.rounds) (Push.push g ~start:0 rng)));
+    (golden_collect ~salt0:600 ~trials:5 (completed_observation K.push g "rounds"));
   check
     Alcotest.(array int)
     "push transmissions" [| 6636; 4882; 6263; 5383; 5613 |]
-    (golden_collect ~salt0:600 ~trials:5 (fun rng ->
-         Option.map (fun o -> o.Push.transmissions) (Push.push g ~start:0 rng)));
+    (golden_collect ~salt0:600 ~trials:5 (completed_observation K.push g "transmissions"));
   check
     Alcotest.(array int)
     "push_pull rounds" [| 17; 16; 18 |]
-    (golden_collect ~salt0:700 ~trials:3 (fun rng ->
-         Option.map (fun o -> o.Push.rounds) (Push.push_pull g ~start:0 rng)))
+    (golden_collect ~salt0:700 ~trials:3 (completed_observation K.push_pull g "rounds"))
 
-(* Outcome encoding: Extinct t -> t, Everyone_infected_once t ->
-   100000 + t, Censored t -> -t. *)
-let sis_code = function
-  | Epidemic.Sis.Extinct t -> Some t
-  | Epidemic.Sis.Everyone_infected_once t -> Some (100_000 + t)
-  | Epidemic.Sis.Censored t -> Some (-t)
+(* Outcome encoding: extinct at round t -> t, everyone infected at least
+   once by round t -> 100000 + t, capped at round t -> -t. *)
+let sis_code o =
+  if not o.K.completed then Some (-o.K.rounds)
+  else if K.observation o "extinct" = Some 1.0 then Some o.K.rounds
+  else Some (100_000 + o.K.rounds)
 
 let test_golden_sis () =
   let g = golden_graph () in
+  let sis params rng = sis_code (K.run Epidemic.Kernels.sis g params rng) in
   check
     Alcotest.(array int)
     "sis outcomes" [| 100017; 100016; 100018; 100020; 100016 |]
-    (golden_collect ~salt0:800 ~trials:5 (fun rng ->
-         let params = { Epidemic.Sis.contacts = B.cobra_k2; recovery = 0.4 } in
-         sis_code (Epidemic.Sis.run g params ~persistent:None ~start:[ 0 ] rng)));
+    (golden_collect ~salt0:800 ~trials:5 (sis { p0 with K.recovery = 0.4 }));
   check
     Alcotest.(array int)
     "sis persistent outcomes" [| 100019; 100018; 100018 |]
-    (golden_collect ~salt0:900 ~trials:3 (fun rng ->
-         let params = { Epidemic.Sis.contacts = B.cobra_k2; recovery = 0.7 } in
-         sis_code (Epidemic.Sis.run g params ~persistent:(Some 0) ~start:[] rng)))
+    (golden_collect ~salt0:900 ~trials:3
+       (sis { p0 with K.recovery = 0.7; persistent = true }))
 
 let test_golden_multi_walk () =
   let g = golden_graph () in
   check
     Alcotest.(array int)
     "multi-walk rounds" [| 1322; 2243; 1406 |]
-    (golden_collect ~salt0:1000 ~trials:3 (fun rng ->
-         Rwalk.multi_cover_time g ~walkers:4 ~start:0 rng))
+    (golden_collect ~salt0:1000 ~trials:3
+       (K.completion_time K.rwalk g { p0 with K.walkers = 4 }))
 
 (* Checksums over whole trajectories: pin the draw order of every round
    of a run, not just the terminal round count. *)

@@ -24,7 +24,6 @@ module Exact = Cobra.Exact
 module Process = Cobra.Process
 module Bips = Cobra.Bips
 module Rwalk = Cobra.Rwalk
-module Push = Cobra.Push
 module Coalesce = Cobra.Coalesce
 module Explore = Cobra.Explore
 module Sis = Epidemic.Sis
@@ -257,6 +256,12 @@ let survival_rounds_dist s ~t_max =
   let cells = List.init t_max (fun i -> (i + 1, s.(i) -. s.(i + 1))) in
   List.filter (fun (_, p) -> p > 1e-15) (cells @ [ (t_max + 1, s.(t_max)) ])
 
+(* The completion round of one [kernel] run, in the same tail cell. *)
+let completion_round ~tag ~t_max kernel g params rng =
+  match Cobra.Kernel.completion_time kernel (v g) params rng with
+  | Some r -> min r (t_max + 1)
+  | None -> Alcotest.fail (tag ^ ": hit its cap")
+
 let push_rounds_dist g ~start ~t_max =
   survival_rounds_dist (Exact.push_cover_survival g ~start ~t_max) ~t_max
 
@@ -265,10 +270,9 @@ let check_push ~tag g ~start ~t_max =
     (Conformance.check ~alpha ~master ~tag ~trials:6000
        ~dist:(push_rounds_dist g ~start ~t_max)
        ~equal:Int.equal ~describe:string_of_int
-       ~sample:(fun rng ->
-         match Push.push (v g) ~start rng with
-         | Some o -> min o.Push.rounds (t_max + 1)
-         | None -> Alcotest.fail (tag ^ ": push hit its cap"))
+       ~sample:
+         (completion_round ~tag ~t_max Cobra.Kernel.push g
+            { Cobra.Kernel.default_params with start })
        ())
 
 let test_push_k4 () = check_push ~tag:"push/k4" k4 ~start:0 ~t_max:10
@@ -328,10 +332,9 @@ let test_pull_rounds_k4 () =
   check_gof "pull/rounds/k4"
     (Conformance.check ~alpha ~master ~tag:"pull/rounds/k4" ~trials:6000 ~dist
        ~equal:Int.equal ~describe:string_of_int
-       ~sample:(fun rng ->
-         match Push.pull (v k4) ~start:0 rng with
-         | Some o -> min o.Push.rounds (t_max + 1)
-         | None -> Alcotest.fail "pull/rounds/k4: pull hit its cap")
+       ~sample:
+         (completion_round ~tag:"pull/rounds/k4" ~t_max Cobra.Kernel.pull k4
+            Cobra.Kernel.default_params)
        ())
 
 let test_push_pull_step_k4 () =
@@ -352,10 +355,9 @@ let test_push_pull_rounds_c5 () =
   check_gof "push-pull/rounds/c5"
     (Conformance.check ~alpha ~master ~tag:"push-pull/rounds/c5" ~trials:6000 ~dist
        ~equal:Int.equal ~describe:string_of_int
-       ~sample:(fun rng ->
-         match Push.push_pull (v c5) ~start:0 rng with
-         | Some o -> min o.Push.rounds (t_max + 1)
-         | None -> Alcotest.fail "push-pull/rounds/c5: push-pull hit its cap")
+       ~sample:
+         (completion_round ~tag:"push-pull/rounds/c5" ~t_max Cobra.Kernel.push_pull c5
+            Cobra.Kernel.default_params)
        ())
 
 (* ---------- coalescing walks with voting ---------- *)
@@ -427,10 +429,9 @@ let test_explore_rounds_prism () =
   check_gof "explore/rounds/prism"
     (Conformance.check ~alpha ~master ~tag:"explore/rounds/prism" ~trials:6000 ~dist
        ~equal:Int.equal ~describe:string_of_int
-       ~sample:(fun rng ->
-         match Explore.cover_time (v prism) ~start:0 rng with
-         | Some r -> min r (t_max + 1)
-         | None -> Alcotest.fail "explore/rounds/prism: walk hit its cap")
+       ~sample:
+         (completion_round ~tag:"explore/rounds/prism" ~t_max Cobra.Kernel.explore prism
+            Cobra.Kernel.default_params)
        ())
 
 (* ---------- SIS ---------- *)
@@ -932,11 +933,13 @@ let test_seir_attack_c5 () =
       (fun (_, p) -> p > 0.0)
       (Array.to_list (Array.mapi (fun k p -> (k, p)) attack))
   in
+  let params =
+    { Cobra.Kernel.default_params with
+      branching = contacts; latent_rounds; infectious_rounds }
+  in
   check_scalar_dist ~tag:"seir/attack/c5" ~trials:6000 ~dist (fun rng ->
-      (Seir.run (v c5)
-         { Seir.contacts; latent_rounds; infectious_rounds }
-         ~index_cases:[ 0 ] rng)
-        .Seir.ever)
+      let o = Cobra.Kernel.run Epidemic.Kernels.seir (v c5) params rng in
+      int_of_float (Option.get (Cobra.Kernel.observation o "ever")))
 
 let test_seir_extinction_q3 () =
   (* Attack-rate survival in time: P(absorbed within 4 rounds) from the

@@ -4,6 +4,7 @@
 module Sis = Epidemic.Sis
 module Herd = Epidemic.Herd
 module B = Cobra.Branching
+module K = Cobra.Kernel
 (* Every epidemic simulator consumes Graph.View; of_csr is a free wrap. *)
 module GenC = Graph.Gen
 
@@ -21,6 +22,15 @@ let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
 let k2_params recovery = { Sis.contacts = B.cobra_k2; recovery }
+
+(* The [Epidemic.Kernels.sis] kernel with k = 2 contacts from vertex
+   [start], a persistent source when [persistent]. *)
+let sis_run ?cap g ~recovery ~persistent ~start rng =
+  K.run Epidemic.Kernels.sis g
+    { K.default_params with K.recovery; persistent; start; cap }
+    rng
+
+let extinct o = K.observation o "extinct" = Some 1.0
 
 (* ---------- SIS ---------- *)
 
@@ -44,9 +54,9 @@ let test_sis_no_recovery_saturates () =
   (* recovery = 0: infection is monotone, so it must reach everyone. *)
   let g = Gen.complete 20 in
   let rng = Rng.create 1 in
-  match Sis.run g (k2_params 0.0) ~persistent:None ~start:[ 0 ] rng with
-  | Sis.Everyone_infected_once t -> check Alcotest.bool "fast" true (t < 100)
-  | _ -> Alcotest.fail "did not saturate"
+  let o = sis_run g ~recovery:0.0 ~persistent:false ~start:0 rng in
+  check Alcotest.bool "saturates" true (o.K.completed && not (extinct o));
+  check Alcotest.bool "fast" true (o.K.rounds < 100)
 
 let test_sis_subcritical_dies () =
   (* A single infected leaf of a star with full recovery and no
@@ -55,13 +65,12 @@ let test_sis_subcritical_dies () =
      within a round or two dominates. *)
   let g = Gen.star 30 in
   let rng = Rng.create 2 in
-  let extinct = ref 0 in
+  let extinct_runs = ref 0 in
   for _ = 1 to 20 do
-    match Sis.run ~cap:5000 g (k2_params 1.0) ~persistent:None ~start:[ 5 ] rng with
-    | Sis.Extinct _ -> incr extinct
-    | _ -> ()
+    let o = sis_run ~cap:5000 g ~recovery:1.0 ~persistent:false ~start:5 rng in
+    if extinct o then incr extinct_runs
   done;
-  check Alcotest.bool "most runs go extinct" true (!extinct >= 14)
+  check Alcotest.bool "most runs go extinct" true (!extinct_runs >= 14)
 
 let test_sis_persistent_never_extinct () =
   let g = Gen.cycle 20 in
@@ -81,9 +90,9 @@ let test_sis_recovery1_is_bips () =
   let sis_mean =
     let s = Stats.Summary.create () in
     for _ = 1 to trials do
-      match Sis.run g (k2_params 1.0) ~persistent:(Some 0) ~start:[] rng with
-      | Sis.Everyone_infected_once t -> Stats.Summary.add_int s t
-      | _ -> Alcotest.fail "sis censored/extinct"
+      let o = sis_run g ~recovery:1.0 ~persistent:true ~start:0 rng in
+      if o.K.completed && not (extinct o) then Stats.Summary.add_int s o.K.rounds
+      else Alcotest.fail "sis censored/extinct"
     done;
     Stats.Summary.mean s
   in
@@ -189,9 +198,14 @@ let test_herd_transient_state_machine () =
 let test_herd_pi_exposes_clique () =
   let g = Gen.complete 15 in
   let rng = Rng.create 7 in
-  match Herd.run g herd_params ~pi:[ 0 ] ~index_cases:[] rng with
-  | Herd.Herd_fully_exposed t -> check Alcotest.bool "plausible time" true (t >= 1)
-  | _ -> Alcotest.fail "PI in a clique must expose everyone"
+  let o =
+    K.run Epidemic.Kernels.herd g
+      { K.default_params with K.immune_rounds = 3; persistent = true }
+      rng
+  in
+  check Alcotest.(option (float 0.0)) "PI in a clique must expose everyone" (Some 15.0)
+    (K.observation o "ever");
+  check Alcotest.bool "plausible time" true (o.K.rounds >= 1)
 
 let test_herd_extinction_without_pi () =
   (* A transient index case at a leaf of a star: the centre contacts two
@@ -200,12 +214,15 @@ let test_herd_extinction_without_pi () =
      overwhelmingly likely outcome. *)
   let g = Gen.star 30 in
   let rng = Rng.create 8 in
-  let params = { herd_params with Herd.infectious_rounds = 1; immune_rounds = 5 } in
+  let params =
+    { K.default_params with
+      K.infectious_rounds = 1; immune_rounds = 5; start = 5; cap = Some 20_000 }
+  in
   let extinct = ref 0 in
   for _ = 1 to 20 do
-    match Herd.run ~cap:20_000 g params ~pi:[] ~index_cases:[ 5 ] rng with
-    | Herd.Infection_extinct _ -> incr extinct
-    | _ -> ()
+    let o = K.run Epidemic.Kernels.herd g params rng in
+    (* Died out with some animal never exposed. *)
+    if o.K.completed && K.observation o "ever" <> Some 30.0 then incr extinct
   done;
   check Alcotest.bool "mostly extinct" true (!extinct >= 14)
 

@@ -3,6 +3,7 @@
    scale. These are the `dune runtest` versions of experiments E1-E11. *)
 
 module B = Cobra.Branching
+module K = Cobra.Kernel
 (* Cross-library flows consume Graph.View; of_csr is a free wrap. *)
 module GenC = Graph.Gen
 
@@ -17,6 +18,13 @@ module Rng = Prng.Rng
 
 let check = Alcotest.check
 
+(* COBRA cover and BIPS infection times through the kernels, from (or
+   sourced at) vertex 0. *)
+let cobra_cover ?(branching = B.cobra_k2) g rng =
+  K.completion_time K.cobra g { K.default_params with K.branching } rng
+
+let bips_infection g rng = K.completion_time K.bips g K.default_params rng
+
 (* Theorem 1 end-to-end: generate an expander, estimate lambda, verify the
    premise, and check the measured cover time sits below the theoretical
    ceiling (with its hidden constant assumed >= 1) and above log2 n. *)
@@ -30,7 +38,7 @@ let test_theorem1_pipeline () =
   let bound = Spectral.Gap.theorem1_bound ~n gap in
   let s = Stats.Summary.create () in
   for _ = 1 to 20 do
-    match Cobra.Process.cover_time g ~branching:B.cobra_k2 ~start:0 rng with
+    match cobra_cover g rng with
     | Some t -> Stats.Summary.add_int s t
     | None -> Alcotest.fail "censored"
   done;
@@ -52,8 +60,8 @@ let test_theorem2_matches_cover_order () =
     done;
     Stats.Summary.mean s
   in
-  let cover = mean (fun () -> Cobra.Process.cover_time g ~branching:B.cobra_k2 ~start:0 rng) in
-  let infec = mean (fun () -> Cobra.Bips.infection_time g ~branching:B.cobra_k2 ~source:0 rng) in
+  let cover = mean (fun () -> cobra_cover g rng) in
+  let infec = mean (fun () -> bips_infection g rng) in
   let ratio = infec /. cover in
   if ratio < 0.4 || ratio > 2.5 then
     Alcotest.failf "cover %.1f vs infec %.1f: not the same order" cover infec
@@ -66,7 +74,7 @@ let test_theorem3_fractional () =
   let mean g =
     let s = Stats.Summary.create () in
     for _ = 1 to 15 do
-      match Cobra.Process.cover_time g ~branching ~start:0 rng with
+      match cobra_cover ~branching g rng with
       | Some t -> Stats.Summary.add_int s t
       | None -> Alcotest.fail "censored"
     done;
@@ -98,7 +106,7 @@ let test_degree_independence_small () =
   let mean g =
     let s = Stats.Summary.create () in
     for _ = 1 to 15 do
-      match Cobra.Process.cover_time g ~branching:B.cobra_k2 ~start:0 rng with
+      match cobra_cover g rng with
       | Some t -> Stats.Summary.add_int s t
       | None -> Alcotest.fail "censored"
     done;
@@ -147,12 +155,12 @@ let test_k1_vs_k2_separation () =
   let rng = Rng.create 7 in
   let g = Gen.random_regular rng ~n:256 ~r:3 in
   let walk =
-    match Cobra.Rwalk.cover_time g ~start:0 rng with
+    match K.completion_time K.rwalk g K.default_params rng with
     | Some t -> t
     | None -> Alcotest.fail "walk censored"
   in
   let cobra =
-    match Cobra.Process.cover_time g ~branching:B.cobra_k2 ~start:0 rng with
+    match cobra_cover g rng with
     | Some t -> t
     | None -> Alcotest.fail "cobra censored"
   in
@@ -167,7 +175,7 @@ let test_spec_to_process_pipeline () =
     match Graph.Spec.build_view spec ~backend:`Heap rng with
     | Error e -> Alcotest.fail e
     | Ok g -> (
-      match Cobra.Process.cover_time g ~branching:B.cobra_k2 ~start:0 rng with
+      match cobra_cover g rng with
       | Some t -> check Alcotest.bool "covers torus" true (t > 0 && t < 500)
       | None -> Alcotest.fail "censored"))
 
@@ -177,22 +185,24 @@ let test_spec_to_process_pipeline () =
 let test_herd_slower_than_bips () =
   let rng = Rng.create 9 in
   let g = Gen.ring_of_cliques ~cliques:5 ~clique_size:8 in
+  (* A PI animal at vertex 0, k = 2 contacts. *)
   let herd_params =
-    { Epidemic.Herd.contacts = B.cobra_k2; infectious_rounds = 2; immune_rounds = 6 }
+    { K.default_params with
+      K.persistent = true; infectious_rounds = 2; immune_rounds = 6; cap = Some 100_000 }
   in
   let herd_mean =
     let s = Stats.Summary.create () in
     for _ = 1 to 15 do
-      match Epidemic.Herd.run ~cap:100_000 g herd_params ~pi:[ 0 ] ~index_cases:[] rng with
-      | Epidemic.Herd.Herd_fully_exposed t -> Stats.Summary.add_int s t
-      | _ -> Alcotest.fail "herd unresolved"
+      let o = K.run Epidemic.Kernels.herd g herd_params rng in
+      if K.observation o "ever" = Some 40.0 then Stats.Summary.add_int s o.K.rounds
+      else Alcotest.fail "herd unresolved"
     done;
     Stats.Summary.mean s
   in
   let bips_mean =
     let s = Stats.Summary.create () in
     for _ = 1 to 15 do
-      match Cobra.Bips.infection_time g ~branching:B.cobra_k2 ~source:0 rng with
+      match bips_infection g rng with
       | Some t -> Stats.Summary.add_int s t
       | None -> Alcotest.fail "bips censored"
     done;
@@ -232,7 +242,7 @@ let test_contact_vs_bips_qualitative () =
     | _ -> Alcotest.fail "supercritical persistent contact must fully expose"
   done;
   (* BIPS on the same graph: same outcome, always *)
-  match Cobra.Bips.infection_time g ~branching:B.cobra_k2 ~source:0 rng with
+  match bips_infection g rng with
   | Some _ -> ()
   | None -> Alcotest.fail "BIPS censored"
 

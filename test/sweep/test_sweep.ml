@@ -1,8 +1,8 @@
-(* Tests for the sweep subsystem: the Cobra.Kernel instances must
-   consume exactly the RNG streams of the historical one-shot drivers
-   (so kernel-routed results are bit-for-bit the old results), grids
-   must parse identically from JSON and inline forms, and checkpointed
-   campaigns must resume to byte-identical artifacts. *)
+(* Tests for the sweep subsystem: the Cobra.Kernel instances must keep
+   consuming the RNG streams of the historical one-shot drivers (recorded
+   rows and frozen reference loops pin them), grids must parse
+   identically from JSON and inline forms, and checkpointed campaigns
+   must resume to byte-identical artifacts. *)
 
 module K = Cobra.Kernel
 module B = Cobra.Branching
@@ -30,132 +30,81 @@ let contains haystack needle =
 
 (* ---------- kernel/one-shot stream equivalence ----------
 
-   Two independently created RNGs with the same seed produce the same
-   stream; one feeds the kernel, one the historical driver. *)
+   Each kernel on the graph, params and seeds (1 .. 5, or 1 .. 8 for the
+   epidemics) on which it used to be checked against its historical
+   one-shot driver. The kernels are now the only implementations; the
+   values below were recorded at the last revision that still had the
+   drivers, where kernel and driver agreed draw for draw. The contact
+   kernel is still checked against [Contact.run], the event-driven
+   simulation it wraps. *)
 
 let p0 = K.default_params
 
+let per_seed n f = Array.init n (fun i -> f (Rng.create (i + 1)))
+
+(* [kernel] completion times on seeds 1 .. 5. *)
+let completion_times kernel g params = per_seed 5 (K.completion_time kernel g params)
+
+(* Named observables of an outcome, as ints. *)
+let ints keys o = List.map (fun key -> int_of_float (Option.get (K.observation o key))) keys
+
+(* [ints keys] of each run of [kernel] on seeds 1 .. [n]. *)
+let observations n kernel g params keys =
+  Array.map (ints keys) (per_seed n (K.run kernel g params))
+
+let check_times = check Alcotest.(array (option int))
+let check_rows = check Alcotest.(array (list int))
+
 let test_cobra_stream () =
-  let g = Gen.cycle 16 in
-  for seed = 1 to 5 do
-    let o = K.run K.cobra g p0 (Rng.create seed) in
-    let expect = Cobra.Process.cover_time g ~branching:p0.K.branching ~start:0 (Rng.create seed) in
-    check Alcotest.(option int) "cover time" expect
-      (if o.K.completed then Some o.K.rounds else None)
-  done
+  check_times "cover times" [| Some 14; Some 17; Some 16; Some 13; Some 15 |]
+    (completion_times K.cobra (Gen.cycle 16) p0)
 
 let test_bips_stream () =
-  let g = Gen.complete 12 in
-  for seed = 1 to 5 do
-    let o = K.run K.bips g p0 (Rng.create seed) in
-    let expect = Cobra.Bips.infection_time g ~branching:p0.K.branching ~source:0 (Rng.create seed) in
-    check Alcotest.(option int) "infection time" expect
-      (if o.K.completed then Some o.K.rounds else None)
-  done
+  check_times "infection times" [| Some 4; Some 5; Some 4; Some 5; Some 6 |]
+    (completion_times K.bips (Gen.complete 12) p0)
 
 let test_rwalk_stream () =
-  let g = Gen.cycle 10 in
-  for seed = 1 to 5 do
-    let o = K.run K.rwalk g p0 (Rng.create seed) in
-    let expect = Cobra.Rwalk.cover_time g ~start:0 (Rng.create seed) in
-    check Alcotest.(option int) "walk cover time" expect
-      (if o.K.completed then Some o.K.rounds else None)
-  done
+  check_times "walk cover times" [| Some 63; Some 69; Some 20; Some 30; Some 13 |]
+    (completion_times K.rwalk (Gen.cycle 10) p0)
 
 let test_rwalk_multi_stream () =
-  let g = Gen.cycle 12 in
-  let params = { p0 with K.walkers = 3 } in
-  for seed = 1 to 5 do
-    let o = K.run K.rwalk g params (Rng.create seed) in
-    let expect = Cobra.Rwalk.multi_cover_time g ~walkers:3 ~start:0 (Rng.create seed) in
-    check Alcotest.(option int) "multi-walk cover time" expect
-      (if o.K.completed then Some o.K.rounds else None)
-  done
+  check_times "multi-walk cover times" [| Some 52; Some 16; Some 22; Some 35; Some 14 |]
+    (completion_times K.rwalk (Gen.cycle 12) { p0 with K.walkers = 3 })
+
+(* Rumour rows: [rounds; transmissions], every run informing everyone. *)
+let rumour = [ "rounds"; "transmissions" ]
 
 let test_push_stream () =
-  let g = Gen.complete 15 in
-  for seed = 1 to 5 do
-    let o = K.run K.push g p0 (Rng.create seed) in
-    match Cobra.Push.push g ~start:0 (Rng.create seed) with
-    | None -> Alcotest.fail "one-shot push capped unexpectedly"
-    | Some e ->
-      check Alcotest.bool "completed" true o.K.completed;
-      check Alcotest.int "rounds" e.Cobra.Push.rounds o.K.rounds;
-      check (Alcotest.option (Alcotest.float 0.0)) "transmissions"
-        (Some (float_of_int e.Cobra.Push.transmissions))
-        (K.observation o "transmissions")
-  done
+  check_rows "push" [| [ 7; 45 ]; [ 7; 49 ]; [ 6; 35 ]; [ 6; 39 ]; [ 7; 45 ] |]
+    (observations 5 K.push (Gen.complete 15) p0 rumour)
 
 let test_pull_stream () =
-  let g = Gen.complete 15 in
-  for seed = 1 to 5 do
-    let o = K.run K.pull g p0 (Rng.create seed) in
-    match Cobra.Push.pull g ~start:0 (Rng.create seed) with
-    | None -> Alcotest.fail "one-shot pull capped unexpectedly"
-    | Some e ->
-      check Alcotest.bool "completed" true o.K.completed;
-      check Alcotest.int "rounds" e.Cobra.Push.rounds o.K.rounds;
-      check (Alcotest.option (Alcotest.float 0.0)) "transmissions"
-        (Some (float_of_int e.Cobra.Push.transmissions))
-        (K.observation o "transmissions")
-  done
+  check_rows "pull" [| [ 5; 44 ]; [ 9; 91 ]; [ 6; 55 ]; [ 7; 65 ]; [ 7; 75 ] |]
+    (observations 5 K.pull (Gen.complete 15) p0 rumour)
 
 let test_push_pull_stream () =
-  let g = Gen.cycle 14 in
-  for seed = 1 to 5 do
-    let o = K.run K.push_pull g p0 (Rng.create seed) in
-    match Cobra.Push.push_pull g ~start:0 (Rng.create seed) with
-    | None -> Alcotest.fail "one-shot push-pull capped unexpectedly"
-    | Some e ->
-      check Alcotest.bool "completed" true o.K.completed;
-      check Alcotest.int "rounds" e.Cobra.Push.rounds o.K.rounds;
-      check (Alcotest.option (Alcotest.float 0.0)) "transmissions"
-        (Some (float_of_int e.Cobra.Push.transmissions))
-        (K.observation o "transmissions")
-  done
+  check_rows "push-pull"
+    [| [ 9; 126 ]; [ 11; 154 ]; [ 9; 126 ]; [ 10; 140 ]; [ 8; 112 ] |]
+    (observations 5 K.push_pull (Gen.cycle 14) p0 rumour)
 
 let test_coalesce_stream () =
   (* Non-bipartite so consensus is reachable: synchronous clusters in
      different colour classes of a bipartite graph can never meet. *)
-  let g = Gen.complete 12 in
-  let params = { p0 with K.walkers = 4 } in
-  for seed = 1 to 5 do
-    let o = K.run K.coalesce g params (Rng.create seed) in
-    let expect = Cobra.Coalesce.consensus_time g ~walkers:4 ~start:0 (Rng.create seed) in
-    check Alcotest.(option int) "consensus time" expect
-      (if o.K.completed then Some o.K.rounds else None)
-  done
+  check_times "consensus times" [| Some 21; Some 17; Some 10; Some 29; Some 9 |]
+    (completion_times K.coalesce (Gen.complete 12) { p0 with K.walkers = 4 })
 
 let test_explore_stream () =
-  let g = Gen.cycle 16 in
-  for seed = 1 to 5 do
-    let o = K.run K.explore g p0 (Rng.create seed) in
-    let expect = Cobra.Explore.cover_time g ~start:0 (Rng.create seed) in
-    check Alcotest.(option int) "explore cover time" expect
-      (if o.K.completed then Some o.K.rounds else None)
-  done
+  check_times "explore cover times" [| Some 15; Some 15; Some 15; Some 15; Some 15 |]
+    (completion_times K.explore (Gen.cycle 16) p0)
 
 let test_sis_stream () =
-  let g = Gen.complete 10 in
-  let params = { p0 with K.recovery = 0.4 } in
-  for seed = 1 to 8 do
-    let o = K.run Epidemic.Kernels.sis g params (Rng.create seed) in
-    let expect =
-      Epidemic.Sis.run g
-        { Epidemic.Sis.contacts = params.K.branching; recovery = params.K.recovery }
-        ~persistent:None ~start:[ 0 ] (Rng.create seed)
-    in
-    match expect with
-    | Epidemic.Sis.Extinct t ->
-      check Alcotest.int "extinct round" t o.K.rounds;
-      check (Alcotest.option (Alcotest.float 0.0)) "extinct flag" (Some 1.0)
-        (K.observation o "extinct")
-    | Epidemic.Sis.Everyone_infected_once t ->
-      check Alcotest.int "saturation round" t o.K.rounds;
-      check (Alcotest.option (Alcotest.float 0.0)) "ever" (Some 10.0)
-        (K.observation o "ever")
-    | Epidemic.Sis.Censored _ -> check Alcotest.bool "capped" false o.K.completed
-  done
+  (* [rounds; extinct; ever]: extinction or full exposure, whichever came
+     first. *)
+  check_rows "sis"
+    [| [ 4; 0; 10 ]; [ 3; 0; 10 ]; [ 2; 1; 2 ]; [ 3; 0; 10 ]; [ 5; 0; 10 ];
+       [ 5; 0; 10 ]; [ 3; 0; 10 ]; [ 5; 0; 10 ] |]
+    (observations 8 Epidemic.Kernels.sis (Gen.complete 10) { p0 with K.recovery = 0.4 }
+       [ "rounds"; "extinct"; "ever" ])
 
 let test_contact_stream () =
   let g = Gen.complete 8 in
@@ -201,54 +150,36 @@ let test_contact_cap_terminates () =
     (K.observation o "outcome")
 
 let test_herd_stream () =
+  (* [rounds; ever; extinct]: full exposure or extinction. *)
   let g = Gen.ring_of_cliques ~cliques:3 ~clique_size:5 in
-  List.iter
-    (fun persistent ->
-      let params = { p0 with K.persistent } in
-      for seed = 1 to 8 do
-        let o = K.run Epidemic.Kernels.herd g params (Rng.create seed) in
-        let hp =
-          { Epidemic.Herd.contacts = B.cobra_k2; infectious_rounds = 2; immune_rounds = 8 }
-        in
-        let pi = if persistent then [ 0 ] else [] in
-        let index_cases = if persistent then [] else [ 0 ] in
-        match Epidemic.Herd.run g hp ~pi ~index_cases (Rng.create seed) with
-        | Epidemic.Herd.Herd_fully_exposed t ->
-          check Alcotest.int "full-exposure round" t o.K.rounds;
-          check (Alcotest.option (Alcotest.float 0.0)) "ever" (Some 15.0)
-            (K.observation o "ever")
-        | Epidemic.Herd.Infection_extinct t ->
-          check Alcotest.int "extinction round" t o.K.rounds;
-          check (Alcotest.option (Alcotest.float 0.0)) "extinct flag" (Some 1.0)
-            (K.observation o "extinct")
-        | Epidemic.Herd.No_resolution _ ->
-          check Alcotest.bool "capped" false o.K.completed
-      done)
-    [ false; true ]
+  let rows persistent =
+    observations 8 Epidemic.Kernels.herd g { p0 with K.persistent }
+      [ "rounds"; "ever"; "extinct" ]
+  in
+  check_rows "transient index case"
+    [| [ 7; 10; 1 ]; [ 6; 10; 1 ]; [ 5; 10; 1 ]; [ 8; 15; 0 ]; [ 9; 10; 1 ];
+       [ 8; 15; 0 ]; [ 6; 10; 1 ]; [ 6; 15; 0 ] |]
+    (rows false);
+  check_rows "PI animal"
+    [| [ 6; 15; 0 ]; [ 13; 15; 0 ]; [ 18; 15; 0 ]; [ 8; 15; 0 ]; [ 7; 15; 0 ];
+       [ 5; 15; 0 ]; [ 11; 15; 0 ]; [ 6; 15; 0 ] |]
+    (rows true)
 
 let test_seir_stream () =
+  (* [rounds; ever; peak] and the generational R, every run absorbed. *)
   let g = Gen.ring_of_cliques ~cliques:3 ~clique_size:5 in
   let params = { p0 with K.latent_rounds = 2; infectious_rounds = 2 } in
-  for seed = 1 to 8 do
-    let o = K.run Epidemic.Kernels.seir g params (Rng.create seed) in
-    let e =
-      Epidemic.Seir.run g
-        { Epidemic.Seir.contacts = params.K.branching; latent_rounds = 2;
-          infectious_rounds = 2 }
-        ~index_cases:[ 0 ] (Rng.create seed)
-    in
-    check Alcotest.int "rounds" e.Epidemic.Seir.rounds o.K.rounds;
-    check Alcotest.bool "absorbed" true o.K.completed;
-    check (Alcotest.option (Alcotest.float 0.0)) "ever"
-      (Some (float_of_int e.Epidemic.Seir.ever))
-      (K.observation o "ever");
-    check (Alcotest.option (Alcotest.float 0.0)) "peak"
-      (Some (float_of_int e.Epidemic.Seir.peak))
-      (K.observation o "peak");
-    check (Alcotest.option (Alcotest.float 0.0)) "gen_r"
-      (Some e.Epidemic.Seir.gen_r)
-      (K.observation o "gen_r")
-  done
+  let runs = per_seed 8 (K.run Epidemic.Kernels.seir g params) in
+  check_rows "seir"
+    [| [ 8; 5; 3 ]; [ 9; 5; 3 ]; [ 19; 15; 4 ]; [ 24; 15; 4 ]; [ 9; 5; 2 ];
+       [ 8; 5; 2 ]; [ 8; 5; 3 ]; [ 13; 15; 5 ] |]
+    (Array.map (ints [ "rounds"; "ever"; "peak" ]) runs);
+  check
+    Alcotest.(array (float 0.0))
+    "generational R"
+    [| 1.6666666666666667; 2.0; 1.8666666666666665; 1.4880952380952384; 1.5; 1.5;
+       1.6666666666666667; 2.3500000000000001 |]
+    (Array.map (fun o -> Option.get (K.observation o "gen_r")) runs)
 
 let test_registry_covers_all () =
   check Alcotest.(list string) "kernel names"
@@ -305,8 +236,8 @@ let same_tail msg a b =
       (Rng.bits b)
   done
 
-(* Pre-rewrite Push.push: full 0..n-1 scan with per-vertex membership
-   tests. *)
+(* Pre-rewrite push protocol loop: full 0..n-1 scan with per-vertex
+   membership tests. *)
 let push_reference ?cap g ~start rng =
   let g = Graph.View.to_csr g in
   let n = Graph.Csr.n_vertices g in
@@ -429,11 +360,13 @@ let test_push_stream_identity () =
     (fun (name, g) ->
       for seed = 1 to 4 do
         let ra = Rng.create seed and rb = Rng.create seed in
-        let live = Cobra.Push.push g ~start:0 ra in
-        let reference = push_reference g ~start:0 rb in
+        let o = K.run K.push g p0 ra in
         let live =
-          Option.map (fun o -> (o.Cobra.Push.rounds, o.Cobra.Push.transmissions)) live
+          if o.K.completed then
+            Some (o.K.rounds, int_of_float (Option.get (K.observation o "transmissions")))
+          else None
         in
+        let reference = push_reference g ~start:0 rb in
         check
           Alcotest.(option (pair int int))
           (name ^ ": push outcome") reference live;
@@ -448,20 +381,18 @@ let test_sis_stream_identity () =
         (fun persistent ->
           for seed = 1 to 4 do
             let ra = Rng.create seed and rb = Rng.create seed in
-            let params = { Epidemic.Sis.contacts = B.cobra_k2; recovery = 0.5 } in
+            let params =
+              { p0 with K.recovery = 0.5; persistent = persistent <> None }
+            in
             let start = if persistent = None then [ 0 ] else [] in
-            let outcome = Epidemic.Sis.run g params ~persistent ~start ra in
+            let o = K.run Epidemic.Kernels.sis g params ra in
             let rounds, count, ever =
               sis_reference g ~contacts:B.cobra_k2 ~recovery:0.5 ~persistent ~start rb
             in
-            (match outcome with
-            | Epidemic.Sis.Extinct t ->
-              check Alcotest.int (name ^ ": extinct round") rounds t;
-              check Alcotest.int (name ^ ": extinct count") 0 count
-            | Epidemic.Sis.Everyone_infected_once t ->
-              check Alcotest.int (name ^ ": saturation round") rounds t;
-              check Alcotest.int (name ^ ": ever") (Graph.View.n_vertices g) ever
-            | Epidemic.Sis.Censored t -> check Alcotest.int (name ^ ": cap") rounds t);
+            check
+              Alcotest.(list int)
+              (name ^ ": rounds, infected, ever") [ rounds; count; ever ]
+              (ints [ "rounds"; "infected"; "ever" ] o);
             same_tail (name ^ ": sis") ra rb
           done)
         [ None; Some 0 ])
@@ -472,7 +403,7 @@ let test_bips_stream_identity () =
     (fun (name, g) ->
       for seed = 1 to 4 do
         let ra = Rng.create seed and rb = Rng.create seed in
-        let live = Cobra.Bips.infection_time g ~branching:B.cobra_k2 ~source:0 ra in
+        let live = K.completion_time K.bips g p0 ra in
         let reference = bips_reference g ~branching:B.cobra_k2 ~source:0 rb in
         check Alcotest.(option int) (name ^ ": bips outcome") reference live;
         same_tail (name ^ ": bips") ra rb
@@ -480,7 +411,7 @@ let test_bips_stream_identity () =
     (identity_graphs ())
 
 (* Process.step's frontier bookkeeping (hybrid member-wise/word-fill
-   clear) must not touch the stream: cover under a copied RNG, then
+   clear) must not touch the stream: cover through the kernel, then
    compare positions against an independent equal-seed stream advanced
    by the frontier-trajectory driver. *)
 let test_cobra_stream_identity () =
@@ -488,7 +419,7 @@ let test_cobra_stream_identity () =
     (fun (name, g) ->
       for seed = 1 to 4 do
         let ra = Rng.create seed and rb = Rng.create seed in
-        let cover = Cobra.Process.cover_time g ~branching:B.cobra_k2 ~start:0 ra in
+        let cover = K.completion_time K.cobra g p0 ra in
         let traj = Cobra.Process.frontier_trajectory g ~branching:B.cobra_k2 ~start:0 rb in
         (match cover with
         | Some t -> check Alcotest.int (name ^ ": rounds") (Array.length traj - 1) t
