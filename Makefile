@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check sweep-smoke sweep-smoke-bigarray serve-smoke bench \
+.PHONY: all build test check exp-determinism sweep-smoke sweep-smoke-bigarray serve-smoke bench \
 	bench-standard bench-json bench-scale bench-scale-smoke bench-lanes \
 	bench-lanes-smoke bench-compare examples clean
 
@@ -21,6 +21,16 @@ check:
 	dune build @all
 	dune runtest
 	dune exec bin/main.exe -- exp --scale quick --check --format json --out _results
+
+# Experiment artifacts must not depend on the domain count: the quick
+# suite at COBRA_DOMAINS=1 and at COBRA_DOMAINS=2, each into its own
+# directory, may differ only in the wall-clock and domain-count fields.
+exp-determinism:
+	rm -rf _results/det-1 _results/det-2
+	COBRA_DOMAINS=1 dune exec bin/main.exe -- exp --scale quick --format json --out _results/det-1 > /dev/null
+	COBRA_DOMAINS=2 dune exec bin/main.exe -- exp --scale quick --format json --out _results/det-2 > /dev/null
+	diff -r -I '"elapsed_s"' -I '"domains"' _results/det-1 _results/det-2
+	@echo "exp-determinism: artifacts identical at COBRA_DOMAINS 1 and 2"
 
 # End-to-end crash/resume drill for the sweep subsystem: run a tiny
 # campaign to completion, then the same campaign interrupted after 3

@@ -10,7 +10,8 @@
    are OLS fits of wall time vs iterations.
 
    Part 2 (parallel engine): wall-clock of the same trial batch through
-   Trial.collect and Trial.collect_par, asserting the results identical.
+   Trial.collect ~domains:1 and Trial.collect on the shared pool,
+   asserting the results identical.
 
    Part 3 (tables): regenerates every experiment table at Quick scale —
    the same tables EXPERIMENTS.md records at Standard/Full scale. Set
@@ -117,9 +118,9 @@ let experiment_kernels =
              (Cobra.Process.first_visit_times expander_1k ~branching:B.cobra_k2 ~start:0 rng)));
     Test.make ~name:"E14/bips-trajectory-n1024"
       (let rng = rng_of "e14" in
+       let params = { K.default_params with K.branching = B.cobra_k2; start = 0 } in
        Staged.stage (fun () ->
-           ignore
-             (Cobra.Bips.size_trajectory expander_1k ~branching:B.cobra_k2 ~source:0 rng)));
+           ignore (K.trajectory K.bips expander_1k params rng ~key:"infected")));
     Test.make ~name:"E15/cover-distinct-n1024" (cover expander_1k (B.distinct 2) "e15");
     Test.make ~name:"E16/pushpull-n1024"
       (let rng = rng_of "e16" in
@@ -546,10 +547,10 @@ let parallel_engine_check () =
     (r, Unix.gettimeofday () -. t0)
   in
   let seq, t_seq =
-    time (fun () -> Simkit.Trial.collect ~trials ~master ~salt0:0 measure)
+    time (fun () -> Simkit.Trial.collect ~domains:1 ~trials ~master ~salt0:0 measure)
   in
   let par, t_par =
-    time (fun () -> Simkit.Trial.collect_par ~trials ~master ~salt0:0 measure)
+    time (fun () -> Simkit.Trial.collect ~trials ~master ~salt0:0 measure)
   in
   Printf.printf
     "E1-style batch (cover, n=4096, %d trials): sequential %.3f s, parallel %.3f s \

@@ -126,12 +126,13 @@ let write_trials_csv path values =
 (* ---------- kernel trials ---------- *)
 
 (* Every single-shot subcommand runs its trials through [collect], trial
-   i on salt i. A kernel, or the trial runner, rejecting an argument (a
+   i on salt [salt0 + i] (salt i unless the subcommand carves out its own
+   region). A kernel, or the trial runner, rejecting an argument (a
    start vertex out of range, no walkers, no trials) raises
    [Invalid_argument]: a usage error, reported like a bad --graph rather
    than as an uncaught exception. *)
-let collect ~seed ~trials measure =
-  try Simkit.Trial.collect_par ~trials ~master:seed ~salt0:0 measure
+let collect ?(salt0 = 0) ~seed ~trials measure =
+  try Simkit.Trial.collect ~trials ~master:seed ~salt0 measure
   with Invalid_argument msg ->
     flush stdout;
     Printf.eprintf "error: %s\n" msg;

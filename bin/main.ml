@@ -569,15 +569,9 @@ let cover_cmd =
             Simkit.Seeds.salt_of_tag (Printf.sprintf "cli:scan:start=%d" start)
           in
           let params = { params with K.start } in
+          let times = collect ~salt0 ~seed ~trials (K.completion_time K.cobra g params) in
           let s = Stats.Summary.create () in
-          for i = 0 to trials - 1 do
-            let trial_rng =
-              Simkit.Seeds.trial_rng ~master:seed ~salt:(salt0 + i)
-            in
-            match K.completion_time K.cobra g params trial_rng with
-            | Some t -> Stats.Summary.add_int s t
-            | None -> ()
-          done;
+          Array.iter (Option.iter (Stats.Summary.add_int s)) times;
           if Stats.Summary.count s > 0 then begin
             let m = Stats.Summary.mean s in
             Printf.printf "  start %6d: mean %.2f (max %.0f)\n" start m
@@ -588,8 +582,10 @@ let cover_cmd =
             end
           end)
         starts;
-      Printf.printf "worst sampled start: %d with mean %.2f (COV(G) estimate)\n"
-        !worst_start !worst);
+      if !worst_start < 0 then print_endline "every trial hit the cap"
+      else
+        Printf.printf "worst sampled start: %d with mean %.2f (COV(G) estimate)\n"
+          !worst_start !worst);
     0
   in
   let doc = "Measure COBRA cover times." in

@@ -12,15 +12,19 @@
 let n = 16_384
 let r = 4
 
+module K = Cobra.Kernel
+
+(* k = 2 from vertex 0: the COBRA start and the BIPS source. *)
+let params = { K.default_params with K.branching = Cobra.Branching.cobra_k2; start = 0 }
+
 let () =
   let rng = Prng.Rng.create 77 in
   let g = Graph.View.of_csr (Graph.Gen.random_regular rng ~n ~r) in
   let gap = Spectral.Gap.estimate rng g in
   Format.printf "graph: %a, %a@.@." Graph.View.pp g Spectral.Gap.pp gap;
 
-  let frontier =
-    Cobra.Process.frontier_trajectory g ~branching:Cobra.Branching.cobra_k2 ~start:0 rng
-  in
+  let trajectory kernel ~key = Array.map int_of_float (K.trajectory kernel g params rng ~key) in
+  let frontier = trajectory K.cobra ~key:"frontier" in
   Format.printf "COBRA frontier |C_t|, %d rounds to cover:@." (Array.length frontier - 1);
   Format.printf "  %s@." (Stats.Sparkline.render_ints frontier);
   let peak = Array.fold_left max 0 frontier in
@@ -29,9 +33,7 @@ let () =
     (Float.of_int peak /. Float.of_int n);
   Format.printf "  reachable mass under double uniform pushes)@.@.";
 
-  let infected =
-    Cobra.Bips.size_trajectory g ~branching:Cobra.Branching.cobra_k2 ~source:0 rng
-  in
+  let infected = trajectory K.bips ~key:"infected" in
   Format.printf "BIPS infected |A_t|, %d rounds to saturation:@."
     (Array.length infected - 1);
   Format.printf "  %s@." (Stats.Sparkline.render_ints infected);

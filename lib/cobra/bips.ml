@@ -1,5 +1,4 @@
 module Bitset = Dstruct.Bitset
-module Intvec = Dstruct.Intvec
 
 type t = {
   graph : Graph.View.t;
@@ -76,16 +75,3 @@ let step p rng =
   p.next <- old;
   p.count <- !count;
   p.round <- p.round + 1
-
-let default_cap g = 10_000 + (100 * Graph.View.n_vertices g)
-
-let size_trajectory ?cap g ~branching ~source rng =
-  let cap = match cap with Some c -> c | None -> default_cap g in
-  let p = create g ~branching ~source in
-  let sizes = Intvec.create () in
-  Intvec.push sizes p.count;
-  while (not (is_saturated p)) && p.round < cap do
-    step p rng;
-    Intvec.push sizes p.count
-  done;
-  Intvec.to_array sizes

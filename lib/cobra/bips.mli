@@ -11,7 +11,11 @@
 
     Note the non-monotonicity: an infected vertex whose picks all miss the
     infected set recovers. The infection time is the first round at which
-    [A_t = V]. *)
+    [A_t = V].
+
+    Runs to saturation are the {!Kernel.bips} kernel: {!Kernel.run} for
+    the infection time, {!Kernel.trajectory} with key ["infected"] for
+    [|A_t|] at [t = 0, 1, ...] (Lemma 1's growth data). *)
 
 type t
 
@@ -44,13 +48,3 @@ val step : t -> Prng.Rng.t -> unit
 
 (** [reset p ~source] rewinds to round 0 with a new source. *)
 val reset : t -> source:int -> unit
-
-(** {1 One-shot measurements}
-
-    Infection-time runs are the {!Kernel.bips} kernel. *)
-
-(** [size_trajectory ?cap g ~branching ~source rng] records [|A_t|] for
-    [t = 0, 1, ...] until saturation (or [cap] rounds, default
-    [10_000 + 100 * n]) — Lemma 1's growth data. *)
-val size_trajectory :
-  ?cap:int -> Graph.View.t -> branching:Branching.t -> source:int -> Prng.Rng.t -> int array

@@ -38,11 +38,12 @@ let lemma1_bound ~n ~lambda ~branching ~a =
 let transition_samples ?cap g ~branching ~source ~trials rng =
   if trials < 1 then invalid_arg "Growth.transition_samples: trials >= 1";
   let froms = Intvec.create () and tos = Intvec.create () in
+  let params = { Kernel.default_params with Kernel.branching; start = source; cap } in
   for _ = 1 to trials do
-    let sizes = Bips.size_trajectory ?cap g ~branching ~source rng in
+    let sizes = Kernel.trajectory Kernel.bips g params rng ~key:"infected" in
     for t = 0 to Array.length sizes - 2 do
-      Intvec.push froms sizes.(t);
-      Intvec.push tos sizes.(t + 1)
+      Intvec.push froms (int_of_float sizes.(t));
+      Intvec.push tos (int_of_float sizes.(t + 1))
     done
   done;
   let a = Intvec.to_array froms and b = Intvec.to_array tos in

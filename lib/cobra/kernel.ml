@@ -65,6 +65,31 @@ let completion_time t g params rng =
 
 let observation o key = List.assoc_opt key o.observations
 
+(* Record through the instance rather than beside [run]'s loop: the
+   wrapped [step] reads [key] after each round, so [run] stays the only
+   loop and a run without a trajectory pays nothing. *)
+let trajectory t g params rng ~key =
+  let read i =
+    match List.assoc_opt key (i.observe ()) with
+    | Some v -> v
+    | None ->
+      invalid_arg (Printf.sprintf "Kernel.trajectory: %s has no observable %S" t.name key)
+  in
+  let values = ref [] in
+  let create g params =
+    let i = t.create g params in
+    values := [ read i ];
+    {
+      i with
+      step =
+        (fun rng ->
+          i.step rng;
+          values := read i :: !values);
+    }
+  in
+  ignore (run { t with create } g params rng);
+  Array.of_list (List.rev !values)
+
 let fi = float_of_int
 
 let round_cap g = 10_000 + (100 * Graph.View.n_vertices g)

@@ -90,6 +90,15 @@ val completion_time : t -> Graph.View.t -> params -> Prng.Rng.t -> int option
 (** [observation o key] looks a named observable up in [o]. *)
 val observation : outcome -> string -> float option
 
+(** [trajectory t g params rng ~key] is {!run} recording the observable
+    [key] after [create] and after every round: element [r] is its value
+    after [r] rounds, and the last element is [run]'s final observation.
+    The run stops where {!run} stops and draws exactly {!run}'s
+    randomness. Raises [Invalid_argument] if the kernel has no
+    observable [key]. *)
+val trajectory :
+  t -> Graph.View.t -> params -> Prng.Rng.t -> key:string -> float array
+
 (** {1 Kernel instances}
 
     Observables: every kernel reports ["rounds"]; coverage-style kernels

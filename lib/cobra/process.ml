@@ -143,14 +143,3 @@ let first_visit_times ?cap g ~branching ~start rng =
     Intvec.iter (fun v -> if first.(v) < 0 then first.(v) <- p.round) p.frontier
   done;
   first
-
-let frontier_trajectory ?cap g ~branching ~start rng =
-  let cap = match cap with Some c -> c | None -> default_cap g in
-  let p = create g ~branching ~start:[ start ] in
-  let sizes = Intvec.create () in
-  Intvec.push sizes (frontier_size p);
-  while (not (is_covered p)) && p.round < cap do
-    step p rng;
-    Intvec.push sizes (frontier_size p)
-  done;
-  Intvec.to_array sizes

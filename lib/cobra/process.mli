@@ -53,8 +53,10 @@ val reset : t -> start:int list -> unit
 
 (** {1 One-shot measurements}
 
-    Cover runs are the {!Kernel.cobra} kernel. The drivers below take
-    [?cap] rounds, default [10_000 + 100 * n]. *)
+    Cover runs are the {!Kernel.cobra} kernel, and [|C_t|] trajectories
+    are {!Kernel.trajectory} on it with key ["frontier"]. The drivers
+    below read per-vertex state that no kernel observable carries; they
+    take [?cap] rounds, default [10_000 + 100 * n]. *)
 
 (** [hitting_time ?cap g ~branching ~start ~target rng] is the first round
     at which [target] becomes active (0 if [target = start]), or [None] on
@@ -67,17 +69,6 @@ val hitting_time :
   target:int ->
   Prng.Rng.t ->
   int option
-
-(** [frontier_trajectory ?cap g ~branching ~start rng] runs to cover (or
-    cap) and returns [|C_t|] for [t = 0, 1, ...] — the growth curves of
-    the E9-style reports. *)
-val frontier_trajectory :
-  ?cap:int ->
-  Graph.View.t ->
-  branching:Branching.t ->
-  start:int ->
-  Prng.Rng.t ->
-  int array
 
 (** [first_visit_times ?cap g ~branching ~start rng] runs to cover (or
     [cap]) and returns the first round at which each vertex became

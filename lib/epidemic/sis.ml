@@ -94,15 +94,3 @@ let step p rng =
   p.next <- old;
   p.infected_count <- !count;
   p.round <- p.round + 1
-
-let prevalence_trajectory ?cap g params ~persistent ~start rng =
-  let cap = match cap with Some c -> c | None -> Cobra.Kernel.round_cap g in
-  let p = create g params ~persistent ~start in
-  let n = Graph.View.n_vertices g in
-  let sizes = Dstruct.Intvec.create () in
-  Dstruct.Intvec.push sizes p.infected_count;
-  while (not (is_extinct p)) && p.ever_count < n && p.round < cap do
-    step p rng;
-    Dstruct.Intvec.push sizes p.infected_count
-  done;
-  Dstruct.Intvec.to_array sizes

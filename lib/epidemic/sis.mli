@@ -16,7 +16,12 @@
 
     The round semantics above are pinned by an exact oracle:
     [Cobra.Exact.sis_step_dist] enumerates the one-round transition on
-    small graphs and [test/conformance] checks {!step} samples it. *)
+    small graphs and [test/conformance] checks {!step} samples it.
+
+    Runs to extinction or full exposure (every vertex infected at least
+    once) are the [Epidemic.Kernels.sis] kernel: [Cobra.Kernel.run] for
+    the outcome, [Cobra.Kernel.trajectory] with key ["infected"] for the
+    prevalence per round. *)
 
 type params = {
   contacts : Cobra.Branching.t;  (** contacts sampled per susceptible per round *)
@@ -47,17 +52,3 @@ val ever_infected_count : t -> int
 
 (** [is_extinct p] is [infected_count p = 0]. *)
 val is_extinct : t -> bool
-
-(** [prevalence_trajectory ?cap g params ~persistent ~start rng] records
-    the infected count per round until extinction, full exposure (every
-    vertex infected at least once) or [cap] rounds (default
-    {!Cobra.Kernel.round_cap}). Runs to those two stopping conditions
-    are the [Epidemic.Kernels.sis] kernel. *)
-val prevalence_trajectory :
-  ?cap:int ->
-  Graph.View.t ->
-  params ->
-  persistent:int option ->
-  start:int list ->
-  Prng.Rng.t ->
-  int array

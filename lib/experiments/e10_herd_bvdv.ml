@@ -30,19 +30,18 @@ let run ~emit ~scale ~master =
     let full = Stats.Summary.create () in
     let extinct = Stats.Summary.create () in
     let full_count = ref 0 and extinct_count = ref 0 and censored = ref 0 in
-    for i = 0 to trials - 1 do
-      let rng = Simkit.Seeds.trial_rng ~master ~salt:(Common.salt_of ~tag + i) in
-      let o = K.run Epidemic.Kernels.herd g { params with K.persistent } rng in
-      if not o.K.completed then incr censored
-      else if K.observation o "ever" = Some (float_of_int n) then begin
-        incr full_count;
-        Stats.Summary.add_int full o.K.rounds
-      end
-      else begin
-        incr extinct_count;
-        Stats.Summary.add_int extinct o.K.rounds
-      end
-    done;
+    Simkit.Trial.collect ~trials ~master ~salt0:(Common.salt_of ~tag)
+      (K.run Epidemic.Kernels.herd g { params with K.persistent })
+    |> Array.iter (fun o ->
+           if not o.K.completed then incr censored
+           else if K.observation o "ever" = Some (float_of_int n) then begin
+             incr full_count;
+             Stats.Summary.add_int full o.K.rounds
+           end
+           else begin
+             incr extinct_count;
+             Stats.Summary.add_int extinct o.K.rounds
+           end);
     (full, !full_count, extinct, !extinct_count, !censored)
   in
   let table =

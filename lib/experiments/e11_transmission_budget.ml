@@ -15,16 +15,15 @@ let rounds_and_transmissions kernel g rng =
 
 let summarise_pairs ~trials ~master ~tag f =
   let rounds = Stats.Summary.create () and tx = Stats.Summary.create () in
-  let censored = ref 0 in
-  for i = 0 to trials - 1 do
-    let rng = Simkit.Seeds.trial_rng ~master ~salt:(Common.salt_of ~tag + i) in
-    match f rng with
-    | Some (r, t) ->
+  let { Simkit.Trial.values; censored } =
+    Simkit.Trial.collect_censored ~trials ~master ~salt0:(Common.salt_of ~tag) f
+  in
+  Array.iter
+    (fun (r, t) ->
       Stats.Summary.add_int rounds r;
-      Stats.Summary.add_int tx t
-    | None -> incr censored
-  done;
-  (rounds, tx, !censored)
+      Stats.Summary.add_int tx t)
+    values;
+  (rounds, tx, censored)
 
 let run_graph ~emit ~name g ~trials ~master ~tag =
   emit (A.section (Printf.sprintf "%s (n=%d)" name (Graph.View.n_vertices g)));

@@ -25,22 +25,19 @@ let run ~emit ~scale ~master =
   let per_dist = Array.init (max_dist + 1) (fun _ -> Stats.Summary.create ()) in
   let violations = ref 0 in
   let covers = Stats.Summary.create () in
-  for i = 0 to trials - 1 do
-    let rng =
-      Simkit.Seeds.trial_rng ~master ~salt:(Common.salt_of ~tag:"e13" + i)
-    in
-    let first = Cobra.Process.first_visit_times g ~branching:Cobra.Branching.cobra_k2 ~start:0 rng in
-    let cover = ref 0 in
-    Array.iteri
-      (fun v t ->
-        if t >= 0 then begin
-          if t < dist.(v) then incr violations;
-          if t > !cover then cover := t;
-          Stats.Summary.add_int per_dist.(dist.(v)) t
-        end)
-      first;
-    Stats.Summary.add_int covers !cover
-  done;
+  Simkit.Trial.collect ~trials ~master ~salt0:(Common.salt_of ~tag:"e13")
+    (Cobra.Process.first_visit_times g ~branching:Cobra.Branching.cobra_k2 ~start:0)
+  |> Array.iter (fun first ->
+         let cover = ref 0 in
+         Array.iteri
+           (fun v t ->
+             if t >= 0 then begin
+               if t < dist.(v) then incr violations;
+               if t > !cover then cover := t;
+               Stats.Summary.add_int per_dist.(dist.(v)) t
+             end)
+           first;
+         Stats.Summary.add_int covers !cover);
   let table =
     A.Tab.create
       [ "BFS distance"; "vertices"; "hit time (mean ± ci95)"; "mean - distance" ]

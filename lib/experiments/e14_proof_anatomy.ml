@@ -1,5 +1,6 @@
 module Scale = Simkit.Scale
 module A = Simkit.Artifact
+module K = Cobra.Kernel
 
 (* The proof of Theorem 2 splits a BIPS run into three phases:
    - Lemma 2 (small sets): |A| grows from 1 to m within
@@ -34,17 +35,15 @@ let run ~emit ~scale ~master =
   let p1 = Stats.Summary.create () in
   let p2 = Stats.Summary.create () in
   let p3 = Stats.Summary.create () in
-  for i = 0 to trials - 1 do
-    let rng = Simkit.Seeds.trial_rng ~master ~salt:(Common.salt_of ~tag:"e14" + i) in
-    let sizes =
-      Cobra.Bips.size_trajectory g ~branching:Cobra.Branching.cobra_k2 ~source:0 rng
-    in
+  let params = { K.default_params with K.branching = Cobra.Branching.cobra_k2; start = 0 } in
+  let phases rng =
+    let sizes = K.trajectory K.bips g params rng ~key:"infected" in
     let first_at threshold =
       let t = ref (-1) in
       (try
          Array.iteri
            (fun i s ->
-             if s >= threshold then begin
+             if s >= Float.of_int threshold then begin
                t := i;
                raise Exit
              end)
@@ -57,10 +56,13 @@ let run ~emit ~scale ~master =
     let t_full = Array.length sizes - 1 in
     if t_small < 0 || t_big < 0 then
       failwith "E14: trajectory never reached its thresholds";
-    Stats.Summary.add_int p1 t_small;
-    Stats.Summary.add_int p2 (t_big - t_small);
-    Stats.Summary.add_int p3 (t_full - t_big)
-  done;
+    (t_small, t_big - t_small, t_full - t_big)
+  in
+  Simkit.Trial.collect ~trials ~master ~salt0:(Common.salt_of ~tag:"e14") phases
+  |> Array.iter (fun (d1, d2, d3) ->
+         Stats.Summary.add_int p1 d1;
+         Stats.Summary.add_int p2 d2;
+         Stats.Summary.add_int p3 d3);
   (* Lemma 2's bound for m = n/10 (C = 3 matches the paper's n^-3
      failure-probability target). *)
   let lemma2_bound =

@@ -16,16 +16,16 @@ let protocols =
     ("COBRA k=2", K.cobra, K.default_params);
   ]
 
+(* [collect_censored], not [summarize_int]: a protocol whose every trial
+   was capped must still come back as a (censored) row. *)
 let rounds_summary kernel g params ~trials ~master ~tag =
   let s = Stats.Summary.create () in
-  let censored = ref 0 in
-  let salt0 = Common.salt_of ~tag in
-  for i = 0 to trials - 1 do
-    let rng = Simkit.Seeds.trial_rng ~master ~salt:(salt0 + i) in
-    let o = K.run kernel g params rng in
-    if o.K.completed then Stats.Summary.add_int s o.K.rounds else incr censored
-  done;
-  (s, !censored)
+  let { Simkit.Trial.values; censored } =
+    Simkit.Trial.collect_censored ~trials ~master ~salt0:(Common.salt_of ~tag)
+      (K.completion_time kernel g params)
+  in
+  Array.iter (Stats.Summary.add_int s) values;
+  (s, censored)
 
 let run_graph ~emit ~name g ~trials ~master ~tag =
   let n = Graph.View.n_vertices g in

@@ -44,13 +44,15 @@ let run ~emit ~scale ~master =
         and peak = Stats.Summary.create ()
         and gen_r = Stats.Summary.create ()
         and rounds = Stats.Summary.create () in
-        let censored = ref 0 in
-        let salt0 = Common.salt_of ~tag:(Printf.sprintf "e18:seir:%g" p) in
-        for i = 0 to trials - 1 do
-          let rng = Simkit.Seeds.trial_rng ~master ~salt:(salt0 + i) in
-          let o = K.run Epidemic.Kernels.seir g params rng in
-          if not o.K.completed then incr censored
-          else begin
+        let { Simkit.Trial.values; censored } =
+          Simkit.Trial.collect_censored ~trials ~master
+            ~salt0:(Common.salt_of ~tag:(Printf.sprintf "e18:seir:%g" p))
+            (fun rng ->
+              let o = K.run Epidemic.Kernels.seir g params rng in
+              if o.K.completed then Some o else None)
+        in
+        Array.iter
+          (fun o ->
             let obs key =
               match K.observation o key with
               | Some v -> v
@@ -59,9 +61,8 @@ let run ~emit ~scale ~master =
             Stats.Summary.add attack (obs "attack");
             Stats.Summary.add peak (obs "peak" /. float_of_int n);
             Stats.Summary.add gen_r (obs "gen_r");
-            Stats.Summary.add_int rounds o.K.rounds
-          end
-        done;
+            Stats.Summary.add_int rounds o.K.rounds)
+          values;
         A.Tab.add_row table
           [
             A.floatf "%.2f" p;
@@ -71,7 +72,7 @@ let run ~emit ~scale ~master =
             A.summary gen_r;
             A.summary rounds;
           ];
-        (p, attack, gen_r, !censored))
+        (p, attack, gen_r, censored))
       ps
   in
   emit (A.Tab.event table);

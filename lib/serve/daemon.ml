@@ -76,12 +76,6 @@ let state_string = function
 
 let terminal = function Done | Cancelled | Failed _ -> true | Queued | Running -> false
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Sys.mkdir path 0o755 with Sys_error _ when Sys.file_exists path -> ()
-  end
-
 let emit job event = Eventlog.append job.log (Campaign.event_to_json event)
 
 (* ---------- bookkeeping (all under [t.mu]) ---------- *)
@@ -296,7 +290,7 @@ let submit t (s : Protocol.submit) =
       (* Canonicalize the output directory so two spellings of one path
          ("out", "./out", "out/") cannot be admitted concurrently and
          race on the same checkpoints. *)
-      mkdir_p s.Protocol.out;
+      Simkit.Fsutil.mkdir_p s.Protocol.out;
       let dir =
         try Unix.realpath s.Protocol.out
         with Unix.Unix_error _ | Sys_error _ -> s.Protocol.out
@@ -652,7 +646,7 @@ let run config =
   | Ok () when lanes < 1 ->
     Error (Printf.sprintf "domains must be at least 1 (got %d)" lanes)
   | Ok () -> (
-    mkdir_p (Filename.dirname config.socket);
+    Simkit.Fsutil.mkdir_p (Filename.dirname config.socket);
     let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.bind listener (Unix.ADDR_UNIX config.socket) with
     | exception Unix.Unix_error (e, _, _) ->

@@ -190,25 +190,11 @@ let event_to_string = function
       ran cached reused corrupted remaining
       (match manifest with Some p -> "; manifest " ^ p | None -> "")
 
-(* ---------- filesystem helpers ---------- *)
+(* ---------- filesystem layout ----------
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path)
-  then begin
-    mkdir_p (Filename.dirname path);
-    try Sys.mkdir path 0o755
-    with Sys_error _ when Sys.file_exists path -> ()
-  end
-
-(* Temp file + rename: a kill leaves either no record or a complete one,
-   never a half-written record masquerading as a checkpoint. *)
-let write_atomic path content =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc content);
-  Sys.rename tmp path
+   Every record is written with [Fsutil.write_atomic]: a kill leaves
+   either no record or a complete one, never a half-written record
+   masquerading as a checkpoint. *)
 
 let cell_file_name index = Printf.sprintf "cell_%05d.json" index
 
@@ -239,8 +225,6 @@ let grid_doc ~name ~master cells =
              cells) );
     ]
 
-let payload_digest payload = Digest.to_hex (Digest.string (Json.to_string payload))
-
 let cell_doc ~name ~master cell payload =
   Json.Obj
     [
@@ -251,7 +235,7 @@ let cell_doc ~name ~master cell payload =
       ("address", Json.String cell.address);
       ("salt", Json.Int (salt_of_address cell.address));
       ("meta", Json.Obj cell.meta);
-      ("digest", Json.String (payload_digest payload));
+      ("digest", Json.String (Json.digest payload));
       ("payload", payload);
     ]
 
@@ -296,7 +280,7 @@ let validate_cell ~name ~master cell path =
     in
     (match (field "digest" doc, field "payload" doc) with
     | Some (Json.String digest), Some payload ->
-      if payload_digest payload = digest then Ok ()
+      if Json.digest payload = digest then Ok ()
       else Error "payload digest mismatch"
     | _ -> Error "missing digest or payload")
 
@@ -350,7 +334,7 @@ let load_or_init_grid config ~name ~cells =
                 grid or cell parameters differ); refusing to mix checkpoints"
                path)
   else begin
-    write_atomic path (Json.to_string ~pretty:true desired ^ "\n");
+    Fsutil.write_atomic path (Json.to_string ~pretty:true desired ^ "\n");
     Ok ()
   end
 
@@ -358,8 +342,8 @@ let plan config ~name ~cells =
   match check_cells cells with
   | Error _ as e -> e
   | Ok () -> (
-    mkdir_p config.dir;
-    mkdir_p (Filename.concat config.dir "cells");
+    Fsutil.mkdir_p config.dir;
+    Fsutil.mkdir_p (Filename.concat config.dir "cells");
     match load_or_init_grid config ~name ~cells with
     | Error _ as e -> e
     | Ok () ->
@@ -407,7 +391,7 @@ let execute_cell plan cell =
         (payload, `Ran))
   in
   let doc = cell_doc ~name:plan.p_name ~master:config.master cell payload in
-  write_atomic
+  Fsutil.write_atomic
     (Filename.concat config.dir (cell_rel_path cell.index))
     (Json.to_string ~pretty:true doc ^ "\n");
   provenance
@@ -445,7 +429,7 @@ let write_manifest config ~name cells =
       ]
   in
   let path = Filename.concat config.dir "manifest.json" in
-  write_atomic path (Json.to_string ~pretty:true doc ^ "\n");
+  Fsutil.write_atomic path (Json.to_string ~pretty:true doc ^ "\n");
   path
 
 let finalize plan =

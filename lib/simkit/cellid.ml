@@ -4,8 +4,7 @@ let digest_len = 32
 
 let is_hex c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')
 
-let meta_digest meta =
-  Digest.to_hex (Digest.string (Json.to_string (Json.Obj meta)))
+let meta_digest meta = Json.digest (Json.Obj meta)
 
 let make ~address ~meta =
   if address = "" then invalid_arg "Cellid.make: empty address";

@@ -3,27 +3,19 @@ type t = {
   n_hits : int Atomic.t;
   n_misses : int Atomic.t;
   n_puts : int Atomic.t;
-  tmp_seq : int Atomic.t;
 }
 
 type stats = { hits : int; misses : int; puts : int }
 
 let schema = "cobra.cellstore/1"
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Sys.mkdir path 0o755 with Sys_error _ when Sys.file_exists path -> ()
-  end
-
 let open_ ~dir =
-  mkdir_p dir;
+  Fsutil.mkdir_p dir;
   {
     dir;
     n_hits = Atomic.make 0;
     n_misses = Atomic.make 0;
     n_puts = Atomic.make 0;
-    tmp_seq = Atomic.make 0;
   }
 
 let dir store = store.dir
@@ -36,8 +28,6 @@ let path store ~master id =
   let k = key ~master id in
   Filename.concat (Filename.concat store.dir (String.sub k 0 2)) (k ^ ".json")
 
-let payload_digest payload = Digest.to_hex (Digest.string (Json.to_string payload))
-
 let record_doc ~master id payload =
   Json.Obj
     [
@@ -46,7 +36,7 @@ let record_doc ~master id payload =
       ("address", Json.String (Cellid.address id));
       ("meta_digest", Json.String (Cellid.digest id));
       ("salt", Json.Int (Cellid.salt id));
-      ("digest", Json.String (payload_digest payload));
+      ("digest", Json.String (Json.digest payload));
       ("payload", payload);
     ]
 
@@ -63,7 +53,7 @@ let validate ~master id doc =
   && int "salt" = Some (Cellid.salt id)
   &&
   match (str "digest", Json.member "payload" doc) with
-  | Some d, Some payload -> payload_digest payload = d
+  | Some d, Some payload -> Json.digest payload = d
   | _ -> false
 
 let find store ~master id =
@@ -83,20 +73,10 @@ let find store ~master id =
 
 let put store ~master id payload =
   let p = path store ~master id in
-  mkdir_p (Filename.dirname p);
-  (* Unique temp name per writer: concurrent puts of the same key never
-     step on each other's half-written file, and rename is atomic. *)
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" p (Unix.getpid ())
-      (Atomic.fetch_and_add store.tmp_seq 1)
-  in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string ~pretty:true (record_doc ~master id payload));
-      output_char oc '\n');
-  Sys.rename tmp p;
+  Fsutil.mkdir_p (Filename.dirname p);
+  (* Concurrent puts of one key each write their own temp file; the
+     survivor is a complete record with the same bytes either way. *)
+  Fsutil.write_atomic p (Json.to_string ~pretty:true (record_doc ~master id payload) ^ "\n");
   Atomic.incr store.n_puts
 
 let stats store =

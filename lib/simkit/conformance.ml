@@ -1,5 +1,5 @@
 let samples ?domains ~master ~tag ~trials sample =
-  Trial.collect_par ?domains ~trials ~master ~salt0:(Seeds.salt_of_tag tag) sample
+  Trial.collect ?domains ~trials ~master ~salt0:(Seeds.salt_of_tag tag) sample
 
 let validate_dist tag dist =
   if dist = [] then invalid_arg "Conformance: empty distribution";

@@ -4,7 +4,7 @@
     many times under the repository's seed discipline and comparing the
     empirical distribution against an exact oracle (usually
     [Cobra.Exact]) with a {!Stats.Gof} test. This module is the sampling
-    half: it fans the draws over the domain pool with {!Trial.collect_par}
+    half: it fans the draws over the domain pool with {!Trial.collect}
     (so results are bit-identical at any [COBRA_DOMAINS]), tabulates them
     against the oracle's support, and {e fails hard} on any draw outside
     that support — a sample landing in a zero-probability cell is a

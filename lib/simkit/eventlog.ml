@@ -1,13 +1,7 @@
 type t = { path : string; fd : Unix.file_descr }
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Sys.mkdir path 0o755 with Sys_error _ when Sys.file_exists path -> ()
-  end
-
 let open_ ~path =
-  mkdir_p (Filename.dirname path);
+  Fsutil.mkdir_p (Filename.dirname path);
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644 in
   { path; fd }
 

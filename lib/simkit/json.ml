@@ -95,6 +95,9 @@ exception Parse_error of string
 
 type parser_state = { src : string; mutable pos : int }
 
+
+let digest v = Digest.to_hex (Digest.string (to_string v))
+
 let peek p = if p.pos < String.length p.src then Some p.src.[p.pos] else None
 
 let advance p = p.pos <- p.pos + 1

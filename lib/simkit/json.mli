@@ -21,6 +21,10 @@ type t =
     infinities). *)
 val to_string : ?pretty:bool -> t -> string
 
+(** [digest v] is the hex MD5 of [to_string v] (the compact form): the
+    content digest of campaign records, cache records and cell meta. *)
+val digest : t -> string
+
 (** [escape_string s] is the quoted, escaped JSON form of [s]. *)
 val escape_string : string -> string
 

@@ -7,7 +7,7 @@
     index — not by arrival order — callers that write result [i] into slot
     [i] of a pre-allocated array obtain {e bit-for-bit deterministic}
     output regardless of the number of domains or the scheduling of
-    chunks. This is the property {!Trial.collect_par} builds on.
+    chunks. This is the property {!Trial.collect} builds on.
 
     Exceptions raised by [f] do not deadlock the batch: the first one is
     captured, the remaining chunks are drained without running [f], and
@@ -52,6 +52,6 @@ val domains_of_string : string -> (int, string) result
 val default_domains : unit -> int
 
 (** [default ()] is the lazily-created process-wide pool, sized by
-    {!default_domains}. Shared by every [Trial.*_par] call that does not
+    {!default_domains}. Shared by every [Trial] runner call that does not
     pass an explicit domain count. *)
 val default : unit -> t

@@ -18,14 +18,9 @@ let tee sinks =
   }
 
 (* Create [dir] (and its parents) if missing. *)
-let rec ensure_dir dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir && parent <> "" then ensure_dir parent;
-    try Sys.mkdir dir 0o755
-    with Sys_error _ when Sys.file_exists dir -> ()
-  end
-  else if not (Sys.is_directory dir) then
+let ensure_dir dir =
+  Fsutil.mkdir_p dir;
+  if not (Sys.is_directory dir) then
     invalid_arg (Printf.sprintf "Sink: %s exists and is not a directory" dir)
 
 let write_text path content =

@@ -1,40 +1,5 @@
 type 'a censored = { values : 'a array; censored : int }
 
-let collect ~trials ~master ~salt0 f =
-  if trials < 1 then invalid_arg "Trial.collect: trials >= 1";
-  Array.init trials (fun i -> f (Seeds.trial_rng ~master ~salt:(salt0 + i)))
-
-let values_of_censored raw =
-  Array.of_list (List.filter_map Fun.id (Array.to_list raw))
-
-let collect_censored ~trials ~master ~salt0 f =
-  let raw = collect ~trials ~master ~salt0 f in
-  let values = values_of_censored raw in
-  { values; censored = trials - Array.length values }
-
-let summary_of_values values censored conv =
-  if Array.length values = 0 then failwith "Trial: every trial was censored";
-  let s = Stats.Summary.create () in
-  Array.iter (fun v -> Stats.Summary.add s (conv v)) values;
-  (s, censored)
-
-let summarize_with conv ~trials ~master ~salt0 f =
-  let { values; censored } = collect_censored ~trials ~master ~salt0 f in
-  summary_of_values values censored conv
-
-let summarize_int ~trials ~master ~salt0 f =
-  summarize_with Float.of_int ~trials ~master ~salt0 f
-
-let summarize_float ~trials ~master ~salt0 f =
-  summarize_with Fun.id ~trials ~master ~salt0 f
-
-(* ---------- parallel variants ----------
-
-   Trial [i] always draws from [Seeds.trial_rng ~master ~salt:(salt0 + i)]
-   and writes into slot [i], so the result array is identical to the
-   sequential one no matter how many domains execute the batch or how the
-   scheduler interleaves them. *)
-
 let run_indexed ?domains ~n f =
   match domains with
   | None -> Pool.run (Pool.default ()) ~n f
@@ -44,8 +9,10 @@ let run_indexed ?domains ~n f =
     done
   | Some d -> Pool.with_pool ~domains:d (fun pool -> Pool.run pool ~n f)
 
-let collect_par ?domains ~trials ~master ~salt0 f =
-  if trials < 1 then invalid_arg "Trial.collect_par: trials >= 1";
+(* Trial [i] draws from [salt0 + i] and writes slot [i], so the array is
+   the same whichever lane ran which index. *)
+let collect ?domains ~trials ~master ~salt0 f =
+  if trials < 1 then invalid_arg "Trial.collect: trials >= 1";
   let out = Array.make trials None in
   run_indexed ?domains ~n:trials (fun i ->
       out.(i) <- Some (f (Seeds.trial_rng ~master ~salt:(salt0 + i))));
@@ -53,17 +20,14 @@ let collect_par ?domains ~trials ~master ~salt0 f =
     (function Some v -> v | None -> assert false (* Pool.run ran every index *))
     out
 
-let collect_censored_par ?domains ~trials ~master ~salt0 f =
-  let raw = collect_par ?domains ~trials ~master ~salt0 f in
-  let values = values_of_censored raw in
+let collect_censored ?domains ~trials ~master ~salt0 f =
+  let raw = collect ?domains ~trials ~master ~salt0 f in
+  let values = Array.of_list (List.filter_map Fun.id (Array.to_list raw)) in
   { values; censored = trials - Array.length values }
 
-let summarize_with_par conv ?domains ~trials ~master ~salt0 f =
-  let { values; censored } = collect_censored_par ?domains ~trials ~master ~salt0 f in
-  summary_of_values values censored conv
-
-let summarize_int_par ?domains ~trials ~master ~salt0 f =
-  summarize_with_par Float.of_int ?domains ~trials ~master ~salt0 f
-
-let summarize_float_par ?domains ~trials ~master ~salt0 f =
-  summarize_with_par Fun.id ?domains ~trials ~master ~salt0 f
+let summarize_int ?domains ~trials ~master ~salt0 f =
+  let { values; censored } = collect_censored ?domains ~trials ~master ~salt0 f in
+  if Array.length values = 0 then failwith "Trial: every trial was censored";
+  let s = Stats.Summary.create () in
+  Array.iter (fun v -> Stats.Summary.add s (Float.of_int v)) values;
+  (s, censored)

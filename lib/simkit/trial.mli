@@ -2,64 +2,34 @@
     streams and summarise. Capped runs ([None] results) are counted as
     censored rather than silently dropped into the statistics.
 
-    Every runner comes in a sequential flavour and a [_par] flavour that
-    fans the batch out over a {!Pool} of domains. The two are
-    {e bit-for-bit identical}: trial [i] always draws from the stream
+    {!collect} is the only loop over trials; the other runners fold its
+    array. Trial [i] always draws from the stream
     [Seeds.trial_rng ~master ~salt:(salt0 + i)] and lands in slot [i], so
-    the domain count (and chunk scheduling) cannot influence any result.
-    [COBRA_DOMAINS] selects the default domain count; [COBRA_DOMAINS=1]
-    is the exact sequential path. *)
+    the result is {e bit-for-bit identical} however many domains run the
+    batch and however the pool schedules its chunks.
+
+    [?domains] sets the lane count for one call: [1] is the plain
+    sequential loop, [d > 1] a transient pool of [d] domains. When
+    omitted the shared {!Pool.default} pool (sized by [COBRA_DOMAINS])
+    runs the batch, so [COBRA_DOMAINS=1] is the exact sequential path.
+    [f] runs concurrently on several domains: it must not touch shared
+    mutable state (the standard trial closures — build nothing, simulate
+    on a shared {e immutable} graph, return a value — are safe as-is).
+    The shared pool takes one batch at a time: code that already runs on
+    a pool lane, or beside another batch, passes [~domains:1]. *)
 
 type 'a censored = { values : 'a array; censored : int }
 
 (** [collect ~trials ~master ~salt0 f] evaluates
-    [f (trial_rng ~master ~salt:(salt0 + i))] for [i = 0 .. trials - 1]. *)
-val collect : trials:int -> master:int -> salt0:int -> (Prng.Rng.t -> 'a) -> 'a array
+    [f (trial_rng ~master ~salt:(salt0 + i))] for [i = 0 .. trials - 1]
+    and returns the results in trial order. Raises [Invalid_argument]
+    unless [trials >= 1]. *)
+val collect :
+  ?domains:int -> trials:int -> master:int -> salt0:int -> (Prng.Rng.t -> 'a) -> 'a array
 
-(** [collect_censored ~trials ~master ~salt0 f] keeps the [Some] results
-    and counts the [None]s. *)
+(** [collect_censored ~trials ~master ~salt0 f] keeps the [Some] results,
+    in trial order, and counts the [None]s. *)
 val collect_censored :
-  trials:int -> master:int -> salt0:int -> (Prng.Rng.t -> 'a option) -> 'a censored
-
-(** [summarize_int ~trials ~master ~salt0 f] summarises an integer-valued
-    censored measurement (e.g. a cover time) into a {!Stats.Summary.t};
-    raises [Failure] if {e every} trial was censored. *)
-val summarize_int :
-  trials:int ->
-  master:int ->
-  salt0:int ->
-  (Prng.Rng.t -> int option) ->
-  Stats.Summary.t * int
-
-(** [summarize_float] — as {!summarize_int} for float measurements. *)
-val summarize_float :
-  trials:int ->
-  master:int ->
-  salt0:int ->
-  (Prng.Rng.t -> float option) ->
-  Stats.Summary.t * int
-
-(** {1 Parallel runners}
-
-    [?domains] overrides the lane count for this call ([1] forces the
-    plain sequential loop); when omitted the shared {!Pool.default} pool
-    (sized by [COBRA_DOMAINS]) is used. [f] runs concurrently on several
-    domains: it must not touch shared mutable state (the standard trial
-    closures — build nothing, simulate on a shared {e immutable} graph,
-    return a scalar — are safe as-is). *)
-
-(** [collect_par] is {!collect}, distributed. Returns the identical
-    array. *)
-val collect_par :
-  ?domains:int ->
-  trials:int ->
-  master:int ->
-  salt0:int ->
-  (Prng.Rng.t -> 'a) ->
-  'a array
-
-(** [collect_censored_par] is {!collect_censored}, distributed. *)
-val collect_censored_par :
   ?domains:int ->
   trials:int ->
   master:int ->
@@ -67,20 +37,14 @@ val collect_censored_par :
   (Prng.Rng.t -> 'a option) ->
   'a censored
 
-(** [summarize_int_par] is {!summarize_int}, distributed. *)
-val summarize_int_par :
+(** [summarize_int ~trials ~master ~salt0 f] summarises an integer-valued
+    censored measurement (e.g. a cover time) into a {!Stats.Summary.t}
+    and the censored count; raises [Failure] if {e every} trial was
+    censored. *)
+val summarize_int :
   ?domains:int ->
   trials:int ->
   master:int ->
   salt0:int ->
   (Prng.Rng.t -> int option) ->
-  Stats.Summary.t * int
-
-(** [summarize_float_par] is {!summarize_float}, distributed. *)
-val summarize_float_par :
-  ?domains:int ->
-  trials:int ->
-  master:int ->
-  salt0:int ->
-  (Prng.Rng.t -> float option) ->
   Stats.Summary.t * int

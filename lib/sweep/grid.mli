@@ -45,9 +45,11 @@ val schema : string
 
 (** [of_json doc] parses a grid document:
     [{"schema"?, "name"?, "graphs": [...], "kernels": [...],
-      "branching"?: [...], "trials"?, "params"?: {...}}].
+      "branching"?: [...], "trials"?, "engine"?, "backend"?,
+      "params"?: {...}}].
     [params] accepts [start], [walkers], [rate], [horizon], [recovery],
-    [persistent], [infectious_rounds], [immune_rounds], [cap]. *)
+    [persistent], [infectious_rounds], [immune_rounds], [latent_rounds],
+    [cap]. *)
 val of_json : Simkit.Json.t -> (t, string) result
 
 (** [of_inline s] parses the compact CLI form, e.g.

@@ -39,8 +39,9 @@ let engine_of_string s =
   | s -> Error (Printf.sprintf "unknown engine %S (available: scalar, lanes)" s)
 
 (* The sliced-stepper registry: bips/cobra/push from Cobra.Lanes, sis
-   from Epidemic.Lanes. Everything else (rwalk, contact, herd, seir)
-   runs scalar under every engine. *)
+   from Epidemic.Lanes. Everything else (rwalk, pull, push-pull,
+   coalesce, explore, contact, herd, seir) runs scalar under every
+   engine. *)
 let sliced kernel =
   let name = kernel.Cobra.Kernel.name in
   match Cobra.Lanes.find name with
@@ -55,13 +56,14 @@ let lanes_capable kernel params =
 let batch = Dstruct.Lanemat.lanes
 
 (* [trials] scalar kernel runs on the per-trial streams
-   [salt0 + 0 .. salt0 + trials - 1] — the exact loop every sweep cell
-   historically ran, factored out so both engines share one entry
-   point. *)
+   [salt0 + 0 .. salt0 + trials - 1]. One domain: a cell already runs on
+   a pool lane (batch sweep) or a dispatch lane (daemon), and the shared
+   pool takes no nested or concurrent batches. *)
 let run_scalar kernel g params ~trials ~master ~salt0 =
-  Array.init trials (fun i ->
-      let rng = Simkit.Seeds.trial_rng ~master ~salt:(salt0 + i) in
-      Cobra.Kernel.run kernel g params rng)
+  if trials = 0 then [||]
+  else
+    Simkit.Trial.collect ~domains:1 ~trials ~master ~salt0
+      (Cobra.Kernel.run kernel g params)
 
 (* The lane engine: trials advance 64 per batch, lane [j] of batch [b]
    being trial [b * 64 + j] on its own derived stream. A short final

@@ -1,7 +1,7 @@
 (** The registry of every sweepable process kernel: the eight from
     [Cobra.Kernel] (cobra, bips, rwalk, push, pull, push-pull, coalesce,
-    explore) plus the three from [Epidemic.Kernels] (sis, contact,
-    herd). Grids refer to kernels by name through {!find} /
+    explore) plus the four from [Epidemic.Kernels] (sis, contact, herd,
+    seir). Grids refer to kernels by name through {!find} /
     {!find_res}.
 
     {!run_trials} is the shared trial driver behind sweep cells: one
@@ -11,7 +11,7 @@
     batch on the bit-sliced engine ([Cobra.Lanes] / [Epidemic.Lanes]),
     lane [j] of batch [b] drawing from precisely trial [b * 64 + j]'s
     derived stream; kernels or parameters without a sliced stepper
-    (rwalk, pull, push-pull, coalesce, explore, contact, herd,
+    (rwalk, pull, push-pull, coalesce, explore, contact, herd, seir,
     [Distinct] branching) silently fall back to the scalar loop, so
     sweeps and campaigns can request [`Lanes] uniformly. *)
 
@@ -53,7 +53,8 @@ val lanes_capable : Cobra.Kernel.t -> Cobra.Kernel.params -> bool
     [`Lanes] each trial's outcome is drawn from the same per-trial
     stream through the sliced engine (distributionally equal per trial,
     deterministic in [(master, salt0)], but not draw-for-draw equal to
-    scalar). *)
+    scalar). [trials = 0] gives [[||]] on both engines; negative
+    [trials] raises [Invalid_argument]. *)
 val run_trials :
   ?engine:engine ->
   Cobra.Kernel.t ->

@@ -42,6 +42,10 @@ let close ?(eps = 1e-9) msg a b =
 (* Kernel defaults: branching k = 2, start (or source) vertex 0. *)
 let p0 = K.default_params
 
+(* A kernel trajectory as the integer counts it records. *)
+let int_trajectory kernel g params rng ~key =
+  Array.map int_of_float (K.trajectory kernel g params rng ~key)
+
 (* ---------- Branching ---------- *)
 
 let test_branching_basics () =
@@ -331,7 +335,7 @@ let test_process_reset () =
 let test_frontier_trajectory () =
   let g = Gen.complete 32 in
   let rng = Rng.create 9 in
-  let sizes = Process.frontier_trajectory g ~branching:B.cobra_k2 ~start:0 rng in
+  let sizes = int_trajectory K.cobra g p0 rng ~key:"frontier" in
   check Alcotest.int "starts at 1" 1 sizes.(0);
   Array.iteri
     (fun i s ->
@@ -450,7 +454,7 @@ let test_bips_reset () =
 let test_bips_trajectory () =
   let g = Gen.complete 16 in
   let rng = Rng.create 16 in
-  let sizes = Bips.size_trajectory g ~branching:B.cobra_k2 ~source:0 rng in
+  let sizes = int_trajectory K.bips g p0 rng ~key:"infected" in
   check Alcotest.int "starts at 1" 1 sizes.(0);
   check Alcotest.int "ends saturated" 16 sizes.(Array.length sizes - 1)
 
@@ -1119,13 +1123,82 @@ let test_golden_trajectory_checksums () =
     "cobra frontier trajectory checksums"
     [| -320291881270216216; 327111993880584616; 420364540883215255 |]
     (golden_collect ~salt0:1100 ~trials:3 (fun rng ->
-         Some (checksum (Process.frontier_trajectory g ~branching:B.cobra_k2 ~start:0 rng))));
+         Some (checksum (int_trajectory K.cobra g p0 rng ~key:"frontier"))));
   check
     Alcotest.(array int)
     "bips size trajectory checksums"
     [| -3069904489550876856; -361622323682022664; 4333282861671584922 |]
     (golden_collect ~salt0:1200 ~trials:3 (fun rng ->
-         Some (checksum (Bips.size_trajectory g ~branching:B.cobra_k2 ~source:0 rng))))
+         Some (checksum (int_trajectory K.bips g p0 rng ~key:"infected"))))
+
+(* ---------- Kernel.trajectory ----------
+
+   Each case runs [trajectory] and [run] on independently created
+   equal-seed streams, so any draw the recording made (or skipped) shows
+   up as a different round count or stream position. *)
+
+let trajectory_cases () =
+  let rr = Gen.random_regular (Rng.create 3) ~n:64 ~r:4 in
+  [ ("cobra", K.cobra, rr, "frontier"); ("cobra", K.cobra, Gen.cycle 17, "visited");
+    ("bips", K.bips, rr, "infected"); ("bips", K.bips, Gen.hypercube 5, "infected") ]
+
+let same_tail msg a b =
+  for i = 1 to 16 do
+    check Alcotest.int (Printf.sprintf "%s: post-run draw %d" msg i) (Rng.bits a)
+      (Rng.bits b)
+  done
+
+let test_trajectory_rounds () =
+  List.iter
+    (fun (name, kernel, g, _) ->
+      for seed = 1 to 3 do
+        let o = K.run kernel g p0 (Rng.create seed) in
+        check
+          Alcotest.(array int)
+          (Printf.sprintf "%s seed %d: rounds 0..r" name seed)
+          (Array.init (o.K.rounds + 1) Fun.id)
+          (int_trajectory kernel g p0 (Rng.create seed) ~key:"rounds")
+      done)
+    (trajectory_cases ())
+
+let test_trajectory_last_is_final () =
+  List.iter
+    (fun (name, kernel, g, key) ->
+      for seed = 1 to 3 do
+        let o = K.run kernel g p0 (Rng.create seed) in
+        let values = K.trajectory kernel g p0 (Rng.create seed) ~key in
+        check
+          Alcotest.(option (float 0.0))
+          (Printf.sprintf "%s seed %d: final %s" name seed key)
+          (K.observation o key)
+          (Some values.(Array.length values - 1))
+      done)
+    (trajectory_cases ())
+
+let test_trajectory_draws_nothing () =
+  List.iter
+    (fun (name, kernel, g, key) ->
+      for seed = 1 to 3 do
+        let ra = Rng.create seed and rb = Rng.create seed in
+        ignore (K.run kernel g p0 ra);
+        ignore (K.trajectory kernel g p0 rb ~key);
+        same_tail (Printf.sprintf "%s seed %d" name seed) ra rb
+      done)
+    (trajectory_cases ())
+
+(* COBRA at most doubles its frontier per round, so 3 rounds reach at
+   most 15 of the 64 cycle vertices: the cap, not cover, stops the run. *)
+let test_trajectory_cap () =
+  let values =
+    K.trajectory K.cobra (Gen.cycle 64) { p0 with K.cap = Some 3 } (Rng.create 1)
+      ~key:"visited"
+  in
+  check Alcotest.int "cap 3: initial state + 3 rounds" 4 (Array.length values)
+
+let test_trajectory_unknown_key () =
+  match K.trajectory K.bips (Gen.complete 8) p0 (Rng.create 1) ~key:"frontier" with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "an unknown observable must raise Invalid_argument"
 
 let () =
   Alcotest.run "cobra"
@@ -1255,5 +1328,15 @@ let () =
           Alcotest.test_case "multi-walk rounds" `Quick test_golden_multi_walk;
           Alcotest.test_case "trajectory checksums" `Quick
             test_golden_trajectory_checksums;
+        ] );
+      ( "trajectory",
+        [
+          Alcotest.test_case "rounds key is 0..r" `Quick test_trajectory_rounds;
+          Alcotest.test_case "last is the final observation" `Quick
+            test_trajectory_last_is_final;
+          Alcotest.test_case "recording draws nothing" `Quick
+            test_trajectory_draws_nothing;
+          Alcotest.test_case "cap bounds the length" `Quick test_trajectory_cap;
+          Alcotest.test_case "unknown key rejected" `Quick test_trajectory_unknown_key;
         ] );
     ]

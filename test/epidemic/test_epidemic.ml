@@ -134,7 +134,10 @@ let test_sis_recovery1_is_bips () =
 let test_sis_trajectory () =
   let g = Gen.complete 12 in
   let rng = Rng.create 5 in
-  let tr = Sis.prevalence_trajectory g (k2_params 0.2) ~persistent:(Some 0) ~start:[] rng in
+  let params = { K.default_params with K.recovery = 0.2; persistent = true; start = 0 } in
+  let tr =
+    Array.map int_of_float (K.trajectory Epidemic.Kernels.sis g params rng ~key:"infected")
+  in
   check Alcotest.int "starts at 1" 1 tr.(0);
   Array.iter (fun c -> if c < 1 || c > 12 then Alcotest.fail "count out of range") tr
 

@@ -175,18 +175,22 @@ let test_summarize_all_censored () =
 
 (* ---------- Pool / parallel trials ---------- *)
 
-(* The contract that makes parallel experiments trustworthy: collect_par
-   must return the *identical* array for every (trials, domains)
+(* The contract that makes parallel experiments trustworthy: every
+   runner returns the *identical* result for every (trials, domains)
    combination, because trial i draws from salt0 + i and lands in slot i
-   regardless of which domain runs it. *)
+   regardless of which domain runs it. The reference is the plain loop
+   over those streams, written out here. *)
+let reference ~trials ~master ~salt0 f =
+  Array.init trials (fun i -> f (Seeds.trial_rng ~master ~salt:(salt0 + i)))
+
 let test_pool_collect_equivalence () =
   let f rng = Prng.Rng.int rng 1_000_000 in
   List.iter
     (fun trials ->
-      let seq = Trial.collect ~trials ~master:11 ~salt0:77 f in
+      let seq = reference ~trials ~master:11 ~salt0:77 f in
       List.iter
         (fun domains ->
-          let par = Trial.collect_par ~domains ~trials ~master:11 ~salt0:77 f in
+          let par = Trial.collect ~domains ~trials ~master:11 ~salt0:77 f in
           check
             Alcotest.(array int)
             (Printf.sprintf "trials=%d domains=%d" trials domains)
@@ -196,36 +200,41 @@ let test_pool_collect_equivalence () =
 
 let test_pool_censored_equivalence () =
   let f rng = if Prng.Rng.int rng 3 = 0 then None else Some (Prng.Rng.int rng 100) in
-  let seq = Trial.collect_censored ~trials:64 ~master:3 ~salt0:9 f in
+  let raw = reference ~trials:64 ~master:3 ~salt0:9 f in
+  let values = Array.of_list (List.filter_map Fun.id (Array.to_list raw)) in
   List.iter
     (fun domains ->
-      let par = Trial.collect_censored_par ~domains ~trials:64 ~master:3 ~salt0:9 f in
-      check Alcotest.(array int) "values preserved" seq.Trial.values par.Trial.values;
-      check Alcotest.int "censored count preserved" seq.Trial.censored
+      let par = Trial.collect_censored ~domains ~trials:64 ~master:3 ~salt0:9 f in
+      check Alcotest.(array int) "values preserved" values par.Trial.values;
+      check Alcotest.int "censored count preserved" (64 - Array.length values)
         par.Trial.censored)
     [ 1; 2; 4 ]
 
 let test_pool_summarize_equivalence () =
   let f rng = Some (Prng.Rng.int rng 50) in
-  let s_seq, c_seq = Trial.summarize_int ~trials:40 ~master:2 ~salt0:5 f in
-  let s_par, c_par = Trial.summarize_int_par ~domains:4 ~trials:40 ~master:2 ~salt0:5 f in
-  check Alcotest.int "censored" c_seq c_par;
-  check Alcotest.int "count" (Stats.Summary.count s_seq) (Stats.Summary.count s_par);
-  check (Alcotest.float 0.0) "mean bit-identical" (Stats.Summary.mean s_seq)
-    (Stats.Summary.mean s_par)
+  let s_seq = Stats.Summary.create () in
+  Array.iter (Option.iter (Stats.Summary.add_int s_seq)) (reference ~trials:40 ~master:2 ~salt0:5 f);
+  List.iter
+    (fun domains ->
+      let s_par, c_par = Trial.summarize_int ~domains ~trials:40 ~master:2 ~salt0:5 f in
+      check Alcotest.int "censored" 0 c_par;
+      check Alcotest.int "count" (Stats.Summary.count s_seq) (Stats.Summary.count s_par);
+      check (Alcotest.float 0.0) "mean bit-identical" (Stats.Summary.mean s_seq)
+        (Stats.Summary.mean s_par))
+    [ 1; 2; 4 ]
 
 let test_pool_exception_propagates () =
   (* Every trial raises: the batch must terminate (not deadlock) and
      re-raise in the caller. *)
   Alcotest.check_raises "all raise" (Failure "boom") (fun () ->
       ignore
-        (Trial.collect_par ~domains:4 ~trials:64 ~master:1 ~salt0:0 (fun _ ->
+        (Trial.collect ~domains:4 ~trials:64 ~master:1 ~salt0:0 (fun _ ->
              failwith "boom")));
   (* A single failing trial out of many: still propagated. *)
   let calls = Atomic.make 0 in
   Alcotest.check_raises "one raises" (Failure "trial 13") (fun () ->
       ignore
-        (Trial.collect_par ~domains:4 ~trials:64 ~master:1 ~salt0:0 (fun rng ->
+        (Trial.collect ~domains:4 ~trials:64 ~master:1 ~salt0:0 (fun rng ->
              if Atomic.fetch_and_add calls 1 = 13 then failwith "trial 13";
              Prng.Rng.int rng 10)))
 

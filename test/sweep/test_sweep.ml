@@ -410,20 +410,28 @@ let test_bips_stream_identity () =
       done)
     (identity_graphs ())
 
+(* COBRA to cover on the bare Process.create/step, without the kernel. *)
+let cobra_reference ?cap g ~branching ~start rng =
+  let n = Graph.View.n_vertices g in
+  let cap = match cap with Some c -> c | None -> 10_000 + (100 * n) in
+  let p = Cobra.Process.create g ~branching ~start:[ start ] in
+  while (not (Cobra.Process.is_covered p)) && Cobra.Process.round p < cap do
+    Cobra.Process.step p rng
+  done;
+  if Cobra.Process.is_covered p then Some (Cobra.Process.round p) else None
+
 (* Process.step's frontier bookkeeping (hybrid member-wise/word-fill
    clear) must not touch the stream: cover through the kernel, then
    compare positions against an independent equal-seed stream advanced
-   by the frontier-trajectory driver. *)
+   by the reference loop. *)
 let test_cobra_stream_identity () =
   List.iter
     (fun (name, g) ->
       for seed = 1 to 4 do
         let ra = Rng.create seed and rb = Rng.create seed in
         let cover = K.completion_time K.cobra g p0 ra in
-        let traj = Cobra.Process.frontier_trajectory g ~branching:B.cobra_k2 ~start:0 rb in
-        (match cover with
-        | Some t -> check Alcotest.int (name ^ ": rounds") (Array.length traj - 1) t
-        | None -> ());
+        let reference = cobra_reference g ~branching:B.cobra_k2 ~start:0 rb in
+        check Alcotest.(option int) (name ^ ": cover") reference cover;
         same_tail (name ^ ": cobra") ra rb
       done)
     (identity_graphs ())
@@ -563,6 +571,22 @@ let test_run_trials_scalar_is_the_loop () =
       check outcomes_t (name ^ ": scalar run_trials = historical loop")
         (Array.to_list want) (Array.to_list got))
     lanes_kernels
+
+(* A cell with no trials is legal on both engines (the trial runner
+   itself rejects trials < 1, so the scalar engine must not reach it). *)
+let test_run_trials_zero () =
+  let g = Gen.hypercube 4 in
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun (name, k, params) ->
+          check outcomes_t
+            (Printf.sprintf "%s %s: trials=0" name (Sweep.Kernels.engine_to_string engine))
+            []
+            (Array.to_list
+               (Sweep.Kernels.run_trials ~engine k g params ~trials:0 ~master:7 ~salt0:0)))
+        lanes_kernels)
+    [ `Scalar; `Lanes ]
 
 let test_lanes_remainders_and_determinism () =
   let g = Gen.hypercube 4 in
@@ -1280,5 +1304,6 @@ let () =
             test_lanes_resume_byte_identical;
           Alcotest.test_case "resume refuses changed engine" `Quick
             test_resume_refuses_changed_engine;
+          Alcotest.test_case "zero trials on both engines" `Quick test_run_trials_zero;
         ] );
     ]
