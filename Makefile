@@ -35,7 +35,8 @@ exp-determinism:
 # End-to-end crash/resume drill for the sweep subsystem: run a tiny
 # campaign to completion, then the same campaign interrupted after 3
 # cells and resumed, and require the manifest and every cell checkpoint
-# to be byte-identical. Exercises the real CLI, not just the library.
+# to be byte-identical, and each manifest digest to be the MD5 of its
+# checkpoint on disk. Exercises the real CLI, not just the library.
 SMOKE_GRID = name=smoke;graphs=cycle:12,complete:8,ba:24x2;kernels=cobra,bips,sis,seir;trials=3
 sweep-smoke:
 	rm -rf _results/smoke-a _results/smoke-b
@@ -46,6 +47,7 @@ sweep-smoke:
 	for f in _results/smoke-a/cells/*.json; do \
 	  cmp "$$f" "_results/smoke-b/cells/$$(basename $$f)" || exit 1; \
 	done
+	sh scripts/check_manifest_digests.sh _results/smoke-a _results/smoke-b
 	@echo "sweep-smoke: resumed campaign is byte-identical"
 
 # The same drill through the off-heap Bigarray topology backend: the

@@ -32,7 +32,11 @@ type job = {
   client : string;
   name : string;
   dir : string;
-  plan : Campaign.plan;
+  mutable plan : Campaign.plan option;
+      (* dropped when the job turns terminal: the cells, their closures
+         and the digest table are no longer needed then *)
+  reused : int;
+  corrupted : int;
   total : int;
   of_ : int;  (* cells to execute this submission, [p_pending] at admission *)
   started_at : float;
@@ -112,8 +116,8 @@ let job_fields job =
     ("done", Json.Int job.done_cells);
     ("ran", Json.Int job.ran);
     ("cached", Json.Int job.cached);
-    ("reused", Json.Int job.plan.Campaign.p_reused);
-    ("corrupted", Json.Int (List.length job.plan.Campaign.p_corrupt));
+    ("reused", Json.Int job.reused);
+    ("corrupted", Json.Int job.corrupted);
     ("remaining", Json.Int (job.of_ - job.done_cells));
     ( "manifest",
       match job.manifest with Some p -> Json.String p | None -> Json.Null );
@@ -125,21 +129,20 @@ let job_fields job =
 let drained job = job.queue = [] && job.inflight = 0
 
 (* Runs without the lock: a claimed job has no queue and no cell in
-   flight, so nothing else writes its directory or its event log.
-   [finalize]'s own stat pass decides completeness; only an incomplete
-   campaign pays a second pass, to report how many cells are missing. *)
-let conclude job =
+   flight, so nothing else writes its directory, its event log or its
+   plan's digest table. *)
+let conclude job plan =
   let outcome =
     try
-      let manifest = Campaign.finalize job.plan in
-      let remaining = if manifest = None then Campaign.remaining job.plan else 0 in
+      let manifest = Campaign.finalize plan in
+      let remaining = if manifest = None then Campaign.remaining plan else 0 in
       emit job
         (Campaign.Finished
            {
              ran = job.ran;
              cached = job.cached;
-             reused = job.plan.Campaign.p_reused;
-             corrupted = List.length job.plan.Campaign.p_corrupt;
+             reused = job.reused;
+             corrupted = job.corrupted;
              remaining;
              manifest;
            });
@@ -151,17 +154,18 @@ let conclude job =
 
 (* Close out a job whose work has drained (or been cleared). The claim
    under [t.mu] makes cancel, the shutdown drain and the lane that
-   records the last cell agree on one finalizer; the stat pass, the
-   manifest's digests and the Finished event run with the lock
-   released, so other lanes and RPCs keep flowing. Until its terminal
-   state is published the job reports no manifest and keeps its slot,
-   directory and quota. Called with [t.mu] held; returns with it
-   held. *)
+   records the last cell agree on one finalizer; the manifest and the
+   Finished event are written with the lock released, so other lanes
+   and RPCs keep flowing. Until its terminal state is published the job
+   reports no manifest and keeps its slot, directory and quota; with
+   that state it drops its plan, which only the lanes and this close-out
+   read. Called with [t.mu] held; returns with it held. *)
 let finish t job =
-  if active job && drained job && not job.finishing then begin
+  match job.plan with
+  | Some plan when active job && drained job && not job.finishing ->
     job.finishing <- true;
     Mutex.unlock t.mu;
-    let closed = conclude job in
+    let closed = conclude job plan in
     Mutex.lock t.mu;
     (match closed with
     | Ok manifest -> job.manifest <- manifest
@@ -174,8 +178,9 @@ let finish t job =
         if job.manifest <> None then Done
         else if job.cancelled then Cancelled
         else Failed "campaign incomplete");
+    job.plan <- None;
     Condition.broadcast t.cond
-  end
+  | _ -> ()
 
 (* ---------- dispatch lanes ---------- *)
 
@@ -190,7 +195,8 @@ let promote t =
 (* The next cell comes from the running job with the fewest cells in
    flight, ties going to submission order. With at least as many lanes
    as running jobs, every running job keeps a cell in flight, so a long
-   campaign cannot starve a short one. *)
+   campaign cannot starve a short one. A running job still has its
+   plan. *)
 let take_cell t =
   let best = ref None in
   iter_jobs t (fun job ->
@@ -199,10 +205,10 @@ let take_cell t =
         | Some b when b.inflight <= job.inflight -> ()
         | _ -> best := Some job);
   match !best with
-  | Some ({ queue = cell :: rest; _ } as job) ->
+  | Some ({ queue = cell :: rest; plan = Some plan; _ } as job) ->
     job.queue <- rest;
     job.inflight <- job.inflight + 1;
-    Some (job, cell)
+    Some (job, plan, cell)
   | _ -> None
 
 let record job cell outcome =
@@ -253,10 +259,10 @@ let lane t () =
       | None ->
         Condition.wait t.cond t.mu;
         loop ()
-      | Some (job, cell) ->
+      | Some (job, plan, cell) ->
         Mutex.unlock t.mu;
         let outcome =
-          try Ok (Campaign.execute_cell job.plan cell)
+          try Ok (Campaign.execute_cell plan cell)
           with exn -> Error (Printexc.to_string exn)
         in
         Mutex.lock t.mu;
@@ -369,7 +375,9 @@ let submit t (s : Protocol.submit) =
               client = s.Protocol.client;
               name = grid.Sweep.Grid.name;
               dir;
-              plan;
+              plan = Some plan;
+              reused = plan.Campaign.p_reused;
+              corrupted = List.length plan.Campaign.p_corrupt;
               total = n_cells;
               of_ = List.length pending;
               started_at = Unix.gettimeofday ();

@@ -23,9 +23,11 @@
       there would hold that domain's runtime lock, and every RPC would
       wait for the lock's tick before it is answered;
     - all bookkeeping lives behind one mutex. A job whose cells have
-      drained is closed out (stat pass, manifest digests, Finished
-      event) by exactly one thread with the lock released; it is not
-      reported terminal, nor with a manifest, until that is done. Progress goes to each job's [events.jsonl] through
+      drained is closed out (the manifest, from the digests its plan
+      kept, and the Finished event) by exactly one thread with the lock
+      released; it is not reported terminal, nor with a manifest, until
+      that is done. A terminal job drops its plan and keeps only the
+      counts [status] and [stats] report. Progress goes to each job's [events.jsonl] through
       [Simkit.Eventlog] (atomic line appends), which the [events] op
       tails; lanes record cells in completion order, so only that
       wall-clock file depends on scheduling.

@@ -192,9 +192,9 @@ let event_to_string = function
 
 (* ---------- filesystem layout ----------
 
-   Every record is written with [Fsutil.write_atomic]: a kill leaves
-   either no record or a complete one, never a half-written record
-   masquerading as a checkpoint. *)
+   Every record is written with [Fsutil.write_atomic] or linked with
+   [Fsutil.link_atomic]: a kill leaves either no record or a complete
+   one, never a half-written record masquerading as a checkpoint. *)
 
 let cell_file_name index = Printf.sprintf "cell_%05d.json" index
 
@@ -241,11 +241,11 @@ let cell_doc ~name ~master cell payload =
 
 (* ---------- checkpoint validation ---------- *)
 
-(* A record is trusted only if every identity field matches the grid and
-   the stored digest matches the payload re-rendered: truncation and
-   parse corruption fail [of_file], content corruption fails the digest
-   or a field comparison. *)
-let validate_cell ~name ~master cell path =
+(* A record's [bytes] are trusted only if every identity field matches
+   the grid and the stored digest matches the payload re-rendered:
+   truncation and parse corruption fail the parse, content corruption
+   fails the digest or a field comparison. *)
+let validate_cell ~name ~master cell bytes =
   let field key doc = Json.member key doc in
   let check_string key expected doc =
     match Option.bind (field key doc) Json.to_string_opt with
@@ -261,7 +261,7 @@ let validate_cell ~name ~master cell path =
     | _ -> Error (Printf.sprintf "missing %s" key)
   in
   let ( let* ) = Result.bind in
-  match Json.of_file path with
+  match Json.of_string bytes with
   | Error msg -> Error msg
   | Ok doc ->
     let* () = check_string "schema" cell_schema doc in
@@ -286,6 +286,19 @@ let validate_cell ~name ~master cell path =
 
 (* ---------- the plan / execute / finalize layers ---------- *)
 
+(* The MD5 of the checkpoint of each cell the campaign placed or reused,
+   16 bytes per cell index, and whether that slot is filled. A slot is
+   written by [plan] or by the one lane that executed its cell; the
+   daemon lock, or [Pool.run]'s completion barrier, orders that write
+   before [finalize] reads it. *)
+type digests = { md5 : Bytes.t; filled : Bytes.t }
+
+let note digests index bytes =
+  Bytes.blit_string (Digest.string bytes) 0 digests.md5 (16 * index) 16;
+  Bytes.set digests.filled index '\001'
+
+let noted digests index = Bytes.get digests.filled index <> '\000'
+
 type plan = {
   p_name : string;
   p_config : config;
@@ -293,6 +306,7 @@ type plan = {
   p_pending : cell list;
   p_reused : int;
   p_corrupt : (cell * string * string) list;
+  p_digests : digests;
 }
 
 let check_cells cells =
@@ -339,48 +353,64 @@ let load_or_init_grid config ~name ~cells =
   end
 
 let plan config ~name ~cells =
-  match check_cells cells with
-  | Error _ as e -> e
-  | Ok () -> (
-    Fsutil.mkdir_p config.dir;
-    Fsutil.mkdir_p (Filename.concat config.dir "cells");
-    match load_or_init_grid config ~name ~cells with
-    | Error _ as e -> e
-    | Ok () ->
-      (* Classify every cell: a valid checkpoint is reused, anything
-         else (missing, or corrupt — which is reported, never silently
-         skipped) queues for execution. *)
-      let reused = ref 0 and corrupt = ref [] in
-      let pending =
-        List.filter
-          (fun c ->
-            let path = Filename.concat config.dir (cell_rel_path c.index) in
-            if not (Sys.file_exists path) then true
-            else
-              match validate_cell ~name ~master:config.master c path with
-              | Ok () ->
-                incr reused;
-                false
-              | Error reason ->
-                corrupt := (c, path, reason) :: !corrupt;
-                true)
-          cells
-      in
-      Ok
-        {
-          p_name = name;
-          p_config = config;
-          p_cells = cells;
-          p_pending = pending;
-          p_reused = !reused;
-          p_corrupt = List.rev !corrupt;
-        })
+  let ( let* ) = Result.bind in
+  let* () = check_cells cells in
+  Fsutil.mkdir_p config.dir;
+  Fsutil.mkdir_p (Filename.concat config.dir "cells");
+  let* () = load_or_init_grid config ~name ~cells in
+  let* listing =
+    try Ok (Sys.readdir (Filename.concat config.dir "cells"))
+    with Sys_error msg -> Error ("cannot list the checkpoints: " ^ msg)
+  in
+  (* Classify every cell: a valid checkpoint is reused, anything else
+     (missing, or corrupt — which is reported, never silently skipped)
+     queues for execution. One listing of cells/ says which checkpoints
+     exist; any entry under a checkpoint's name, even one that cannot be
+     read, is validated. *)
+  let present = Hashtbl.create (Array.length listing) in
+  Array.iter (fun f -> Hashtbl.replace present f ()) listing;
+  let n = List.length cells in
+  let digests = { md5 = Bytes.create (16 * n); filled = Bytes.make n '\000' } in
+  let reused = ref 0 and corrupt = ref [] in
+  let pending =
+    List.filter
+      (fun c ->
+        if not (Hashtbl.mem present (cell_file_name c.index)) then true
+        else
+          let path = Filename.concat config.dir (cell_rel_path c.index) in
+          let valid =
+            Fsutil.read path (fun bytes _ ->
+                Result.map
+                  (fun () -> note digests c.index bytes)
+                  (validate_cell ~name ~master:config.master c bytes))
+          in
+          match Result.join valid with
+          | Ok () ->
+            incr reused;
+            false
+          | Error reason ->
+            corrupt := (c, path, reason) :: !corrupt;
+            true)
+      cells
+  in
+  Ok
+    {
+      p_name = name;
+      p_config = config;
+      p_cells = cells;
+      p_pending = pending;
+      p_reused = !reused;
+      p_corrupt = List.rev !corrupt;
+      p_digests = digests;
+    }
 
 (* The checkpoint is rendered once. With a cache, a miss stores exactly
    those bytes as the cell's record (before the checkpoint exists, so a
    kill in between loses nothing), and on a hit or a miss the record is
-   then hard-linked into [cells/]; the checkpoint is written as a file of
-   its own only when the link fails or the record holds other bytes. *)
+   then hard-linked into [cells/] while it is held open; the checkpoint
+   is written as a file of its own only when the link fails or the
+   record holds other bytes. Either way the checkpoint holds the
+   rendered bytes, and their digest goes into the plan's table. *)
 let execute_cell plan cell =
   let config = plan.p_config and master = plan.p_config.master in
   let id = cellid cell in
@@ -389,63 +419,61 @@ let execute_cell plan cell =
   in
   let compute () = cell.run ~master ~salt:(Cellid.salt id) in
   let checkpoint = Filename.concat config.dir (cell_rel_path cell.index) in
-  match config.cache with
-  | None ->
-    Fsutil.write_atomic checkpoint (render (compute ()));
-    `Ran
-  | Some store ->
-    let bytes, provenance =
-      match Cellstore.find store ~master id with
-      | Some payload -> (render payload, `Cached)
-      | None ->
+  let write bytes =
+    Fsutil.write_atomic checkpoint bytes;
+    bytes
+  in
+  let link bytes record = if Fsutil.link_atomic record checkpoint then bytes else write bytes in
+  let bytes, provenance =
+    match config.cache with
+    | None -> (write (render (compute ())), `Ran)
+    | Some store -> (
+      match
+        Cellstore.lookup store ~master id ~campaign:plan.p_name ~index:cell.index ~render
+          link
+      with
+      | Cellstore.Own bytes -> (bytes, `Cached)
+      | Cellstore.Foreign payload -> (write (render payload), `Cached)
+      | Cellstore.Miss ->
         let bytes = render (compute ()) in
-        Cellstore.put_record store ~master id bytes;
-        (bytes, `Ran)
-    in
-    if not (Fsutil.link_atomic ~src:(Cellstore.path store ~master id) checkpoint bytes)
-    then Fsutil.write_atomic checkpoint bytes;
-    provenance
+        (Cellstore.put_record store ~master id bytes (link bytes), `Ran))
+  in
+  note plan.p_digests cell.index bytes;
+  provenance
 
 let remaining plan =
-  List.length
-    (List.filter
-       (fun c ->
-         not (Sys.file_exists (Filename.concat plan.p_config.dir (cell_rel_path c.index))))
-       plan.p_cells)
-
-let write_manifest config ~name cells =
-  let entries =
-    List.map
-      (fun c ->
-        let rel = cell_rel_path c.index in
-        let digest = Digest.to_hex (Digest.file (Filename.concat config.dir rel)) in
-        Json.Obj
-          [
-            ("index", Json.Int c.index);
-            ("address", Json.String c.address);
-            ("salt", Json.Int (salt_of_address c.address));
-            ("file", Json.String rel);
-            ("digest", Json.String digest);
-          ])
-      cells
-  in
-  let doc =
-    Json.Obj
-      [
-        ("schema", Json.String manifest_schema);
-        ("campaign", Json.String name);
-        ("master", Json.Int config.master);
-        ("cells", Json.List entries);
-      ]
-  in
-  let path = Filename.concat config.dir "manifest.json" in
-  Fsutil.write_atomic path (Json.to_string ~pretty:true doc ^ "\n");
-  path
+  List.length (List.filter (fun c -> not (noted plan.p_digests c.index)) plan.p_cells)
 
 let finalize plan =
-  if remaining plan = 0 then
-    Some (write_manifest plan.p_config ~name:plan.p_name plan.p_cells)
-  else None
+  if remaining plan > 0 then None
+  else begin
+    let config = plan.p_config and md5 = plan.p_digests.md5 in
+    let entries =
+      List.map
+        (fun c ->
+          Json.Obj
+            [
+              ("index", Json.Int c.index);
+              ("address", Json.String c.address);
+              ("salt", Json.Int (salt_of_address c.address));
+              ("file", Json.String (cell_rel_path c.index));
+              ("digest", Json.String (Digest.to_hex (Bytes.sub_string md5 (16 * c.index) 16)));
+            ])
+        plan.p_cells
+    in
+    let doc =
+      Json.Obj
+        [
+          ("schema", Json.String manifest_schema);
+          ("campaign", Json.String plan.p_name);
+          ("master", Json.Int config.master);
+          ("cells", Json.List entries);
+        ]
+    in
+    let path = Filename.concat config.dir "manifest.json" in
+    Fsutil.write_atomic path (Json.to_string ~pretty:true doc ^ "\n");
+    Some path
+  end
 
 (* ---------- the batch driver ---------- *)
 

@@ -159,6 +159,11 @@ val cellid : cell -> Cellid.t
     (equal to [Cellid.salt] of any id with that address). *)
 val salt_of_address : string -> int
 
+(** The MD5 of the checkpoint of every cell the campaign has placed or
+    reused, one slot per cell index: what {!finalize} writes into the
+    manifest and {!remaining} counts, without reading [cells/]. *)
+type digests
+
 (** A classified campaign: grid initialised (or identity-checked against
     the existing [grid.json]), every existing checkpoint validated. *)
 type plan = {
@@ -170,12 +175,18 @@ type plan = {
   p_corrupt : (cell * string * string) list;
       (** invalid checkpoints: cell, record path, reason — these cells
           are also in [p_pending] *)
+  p_digests : digests;
+      (** filled by {!plan} for the reused checkpoints, from the bytes it
+          validated, and by {!execute_cell} for the ones it places *)
 }
 
 (** [plan config ~name ~cells] validates the cell list, initialises the
-    campaign directory and classifies every cell. Pure of side effects
-    beyond directory/grid creation: nothing is executed and no events
-    are emitted. *)
+    campaign directory and classifies every cell. It lists [cells/]
+    once and validates every entry named like a checkpoint, so an entry
+    that cannot be read as one (a directory, a dangling symlink) is
+    reported corrupt, not taken for a missing cell. Pure of side
+    effects beyond directory/grid creation: nothing is executed and no
+    events are emitted. *)
 val plan : config -> name:string -> cells:cell list -> (plan, string) result
 
 (** [execute_cell plan cell] produces the cell's record: from the result
@@ -184,15 +195,24 @@ val plan : config -> name:string -> cells:cell list -> (plan, string) result
     ([`Ran]). Writes [cells/cell_NNNNN.json] atomically either way: with
     a cache, by hard-linking the cache record when its bytes are the
     rendered checkpoint ({!Fsutil.link_atomic}), else as a new file.
-    Safe to call from any domain; callers own scheduling and event
-    emission. *)
+    Records the digest of the bytes it placed in [plan.p_digests].
+    Safe to call from any domain, on distinct cells; callers own
+    scheduling and event emission, and must order every call before
+    {!finalize} (a lock or a join does). *)
 val execute_cell : plan -> cell -> [ `Ran | `Cached ]
 
-(** [remaining plan] counts cells still missing a record on disk. *)
+(** [remaining plan] counts the cells this plan has neither reused nor
+    placed a checkpoint for. It reads no file: a checkpoint someone else
+    deletes or edits after the campaign placed it still counts as
+    placed, and is caught by the next resume's validation. *)
 val remaining : plan -> int
 
-(** [finalize plan] writes [manifest.json] and returns its path iff no
-    cell record is missing; [None] otherwise. *)
+(** [finalize plan] writes [manifest.json] and returns its path iff
+    every cell has a checkpoint the campaign placed or reused; [None]
+    otherwise. The manifest's digests come from [plan.p_digests], not
+    from re-reading [cells/], so, as for {!remaining}, a change someone
+    else makes to a checkpoint after placement is caught on resume, not
+    here. *)
 val finalize : plan -> string option
 
 (** [run config ~name ~cells] executes the campaign: {!plan}, then the

@@ -75,17 +75,54 @@ let find store ~master id =
   | None -> Atomic.incr store.n_misses);
   result
 
-let put_record store ~master id record =
+type 'a lookup = Own of 'a | Foreign of Json.t | Miss
+
+(* A checkpoint-shaped record that renders back to its own bytes needs
+   no field-by-field check: every identity field and the payload digest
+   are part of the rendering. Anything else gets the full validation,
+   and only another campaign's record, or a payload-only one, is a hit
+   then: this campaign's own record with other bytes is a miss, which
+   the put replaces. A hit is counted before [own] links the record. *)
+let lookup store ~master id ~campaign ~index ~render own =
+  let hit () = Atomic.incr store.n_hits in
+  let found =
+    Fsutil.read (path store ~master id) (fun bytes record ->
+        match Json.of_string bytes with
+        | Error _ -> Miss
+        | Ok doc -> (
+          let str k = Option.bind (Json.member k doc) Json.to_string_opt in
+          match Json.member "payload" doc with
+          | Some payload when str "schema" = Some checkpoint_schema && render payload = bytes ->
+            hit ();
+            Own (own bytes record)
+          | Some payload
+            when validate ~master id doc
+                 && (str "schema" = Some schema
+                    || str "campaign" <> Some campaign
+                    || Json.member "index" doc <> Some (Json.Int index)) ->
+            hit ();
+            Foreign payload
+          | _ -> Miss))
+  in
+  match found with
+  | Ok ((Own _ | Foreign _) as found) -> found
+  | Ok Miss | Error _ ->
+    Atomic.incr store.n_misses;
+    Miss
+
+let put_record store ~master id record f =
   let p = path store ~master id in
   Fsutil.mkdir_p (Filename.dirname p);
   (* Concurrent puts of one key each write their own temp file; the
      survivor is a complete record with the same payload either way. *)
-  Fsutil.write_atomic p record;
-  Atomic.incr store.n_puts
+  Fsutil.write_held p record (fun held ->
+      Atomic.incr store.n_puts;
+      f held)
 
 let put store ~master id payload =
   put_record store ~master id
     (Json.to_string ~pretty:true (record_doc ~master id payload) ^ "\n")
+    ignore
 
 let stats store =
   {

@@ -35,18 +35,30 @@
     Checkpoints linked to records: because a checkpoint-shaped record is
     exactly the bytes the campaign writes to [cells/], the campaign
     hard-links it into its directory ({!Fsutil.link_atomic}) instead of
-    creating a new file, on a hit and after the put of a miss. The
-    checkpoint and its record then share one inode. No writer modifies a
-    file in place (every write is a temp file renamed over the path), so
-    neither side can change the other; an external in-place edit shows
-    up on both sides and is caught by validation on both (the cache
-    misses, a resume re-runs the cell as corrupt), never as a wrong hit.
-    The campaign writes a fresh checkpoint instead when the link fails
-    (the cache on another filesystem, [fs.protected_hardlinks], the link
-    limit) or when the record's bytes are not its own rendering: a
-    [cobra.cellstore/1] record, a record from a campaign with another
-    name or index, or a record another campaign's concurrent put
-    replaced.
+    creating a new file, on a hit ({!lookup}) and after the put of a
+    miss ({!put_record}). The checkpoint and its record then share one
+    inode. No writer modifies a file in place (every write is a temp
+    file renamed over the path), so neither side can change the other;
+    an external in-place edit shows up on both sides and is caught by
+    validation on both (the cache misses, a resume re-runs the cell as
+    corrupt), never as a wrong hit. The campaign writes a fresh
+    checkpoint instead when the link fails (the cache on another
+    filesystem, [fs.protected_hardlinks], the link limit) or when the
+    record's bytes are not its own rendering: a [cobra.cellstore/1]
+    record, a record from a campaign with another name or index, or a
+    record another campaign's concurrent put replaced.
+
+    One read per hit: {!lookup} reads the record once and keeps it open
+    while the campaign links it. A record that is this campaign's
+    checkpoint, rendered again from its own payload, byte for byte, is
+    valid by that equality alone, since the rendering carries every
+    identity field and the payload digest; other records get the
+    field-by-field validation of {!find}. The link is checked by the
+    record's identity [(st_dev, st_ino)], not by reading it back: the
+    record is held open, so its inode number cannot be reused in
+    between, and a record replaced between the read and the link has
+    another inode, so the link is refused and the checkpoint written as
+    a file of its own. A put holds its new record open the same way.
 
     Hit/miss/put counters are atomic and process-wide per store handle,
     suitable for daemon [stats] reporting. *)
@@ -81,17 +93,49 @@ val find : t -> master:int -> Cellid.t -> Json.t option
     entry atomically, overwriting any previous record for the key. *)
 val put : t -> master:int -> Cellid.t -> Json.t -> unit
 
-(** [put_record store ~master id record] writes [record] verbatim as
+(** How {!lookup} found the entry's record. *)
+type 'a lookup =
+  | Own of 'a
+      (** the record is the campaign's own checkpoint of the cell, byte
+          for byte: the result of the callback, run with the record
+          held open *)
+  | Foreign of Json.t
+      (** a valid record with other bytes — a {!schema} record, or the
+          checkpoint of a campaign with another name or index: its
+          payload *)
+  | Miss
+      (** absent, unreadable or invalid, or the campaign's own
+          checkpoint with bytes other than its rendering *)
+
+(** [lookup store ~master id ~campaign ~index ~render own] reads the
+    entry's record once, for the cell [index] of the campaign named
+    [campaign], whose checkpoint of a payload [p] is [render p]. A
+    {!checkpoint_schema} record whose payload renders back to exactly
+    its bytes is [Own (own bytes record)], with [record] held open
+    while [own] runs; anything else is validated like {!find}. Counts a
+    hit for [Own] and [Foreign] and a miss for [Miss]. *)
+val lookup :
+  t ->
+  master:int ->
+  Cellid.t ->
+  campaign:string ->
+  index:int ->
+  render:(Json.t -> string) ->
+  (string -> Fsutil.held -> 'a) ->
+  'a lookup
+
+(** [put_record store ~master id record f] writes [record] verbatim as
     the entry's record, atomically, overwriting any previous record for
-    the key. {!Campaign} passes the rendered checkpoint of the cell
-    (schema {!checkpoint_schema}) and then links the record into its
-    directory. Bytes that do not validate as either schema only make
-    later lookups miss. *)
-val put_record : t -> master:int -> Cellid.t -> string -> unit
+    the key, then runs [f] on the new record, held open. {!Campaign}
+    passes the rendered checkpoint of the cell (schema
+    {!checkpoint_schema}) and links the record into its directory in
+    [f]. Bytes that do not validate as either schema only make later
+    lookups miss. *)
+val put_record : t -> master:int -> Cellid.t -> string -> (Fsutil.held -> 'a) -> 'a
 
 type stats = {
-  hits : int;  (** successful {!find}s *)
-  misses : int;  (** failed {!find}s (absent or invalid) *)
+  hits : int;  (** successful {!find}s and {!lookup}s *)
+  misses : int;  (** {!find}s and {!lookup}s that missed *)
   puts : int;  (** records written *)
 }
 

@@ -19,23 +19,45 @@ let with_tmp path f =
     (try Sys.remove tmp with Sys_error _ -> ());
     Printexc.raise_with_backtrace exn bt
 
-let write_atomic path content =
-  with_tmp path (fun tmp ->
-      let oc = open_out tmp in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc content);
-      Sys.rename tmp path)
+type held = { path : string; dev : int; ino : int }
 
-let holds path content =
-  In_channel.with_open_bin path (fun ic ->
-      In_channel.length ic = Int64.of_int (String.length content)
-      && really_input_string ic (String.length content) = content)
+let hold path fd =
+  let st = Unix.fstat fd in
+  { path; dev = st.Unix.st_dev; ino = st.Unix.st_ino }
 
-let link_atomic ~src path content =
+let write_held path content f =
   with_tmp path (fun tmp ->
-      match Unix.link src tmp with
+      let oc = open_out_bin tmp in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          output_string oc content;
+          flush oc;
+          let file = hold path (Unix.descr_of_out_channel oc) in
+          Sys.rename tmp path;
+          f file))
+
+let write_atomic path content = write_held path content ignore
+
+let read path f =
+  match open_in_bin path with
+  | exception Sys_error msg -> Error msg
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        match really_input_string ic (in_channel_length ic) with
+        | exception Sys_error msg -> Error msg
+        | exception End_of_file -> Error (path ^ ": truncated while reading")
+        | content -> Ok (f content (hold path (Unix.descr_of_in_channel ic))))
+
+let link_atomic src path =
+  with_tmp path (fun tmp ->
+      match Unix.link src.path tmp with
       | exception Unix.Unix_error _ -> false
       | () ->
-        if holds tmp content then begin
+        let st = Unix.lstat tmp in
+        if st.Unix.st_dev = src.dev && st.Unix.st_ino = src.ino then begin
           Sys.rename tmp path;
           (* A rename between two links of one inode does nothing, so
              [tmp] survives it when [path] already was a link to [src]. *)

@@ -17,6 +17,13 @@
     error. *)
 val mkdir_p : string -> unit
 
+(** A file held open, with the path it was opened under and its
+    identity [(st_dev, st_ino)]. While the file is held its inode cannot
+    be freed, so no other file can take its identity: a name that still
+    shows this identity still names these bytes, because no writer
+    modifies a published file in place. *)
+type held
+
 (** [write_atomic path content] writes [content] to a temp file beside
     [path] and renames it over [path]: a kill leaves either the old file
     or the complete new one, never a torn record. Raises [Sys_error] if
@@ -24,18 +31,28 @@ val mkdir_p : string -> unit
     non-empty directory), after removing the temp file. *)
 val write_atomic : string -> string -> unit
 
-(** [link_atomic ~src path content] makes [path] a hard link to [src],
-    provided [src] holds exactly [content]: it links [src] to a temp
-    name beside [path], checks that the linked file's bytes are
-    [content], and renames it over [path]. Returns [true] when [path]
-    now shares [src]'s inode.
+(** [write_held path content f] is {!write_atomic}, then [f] on the file
+    just published at [path], held open until [f] returns. *)
+val write_held : string -> string -> (held -> 'a) -> 'a
+
+(** [read path f] opens [path], reads all of it, and runs [f] on its
+    bytes and the file, held open until [f] returns. Total in the read:
+    a path that cannot be opened or read (absent, a directory, no
+    permission, truncated while read) is an [Error] carrying the system
+    message; exceptions from [f] propagate. *)
+val read : string -> (string -> held -> 'a) -> ('a, string) result
+
+(** [link_atomic src path] makes [path] a hard link to the held file
+    [src]: it links [src]'s path to a temp name beside [path], checks
+    that the link has [src]'s identity, and renames it over [path].
+    Returns [true] when [path] now shares [src]'s inode.
 
     Returns [false], leaving [path] untouched and no temp file behind,
-    when the link fails ([src] absent, [EXDEV] across filesystems,
-    [EPERM] under [fs.protected_hardlinks], [EMLINK]) or when the bytes
-    differ, so the caller can fall back to {!write_atomic}. The byte
-    check reads the linked inode itself, so a concurrent rename over
-    [src] cannot slip other bytes in between the check and the rename.
-    Raises (after removing the temp file) only if reading the link or
-    the rename fails. *)
-val link_atomic : src:string -> string -> string -> bool
+    when the link fails ([src]'s path absent, [EXDEV] across
+    filesystems, [EPERM] under [fs.protected_hardlinks], [EMLINK]) or
+    when [src]'s path names another file by then (a concurrent rename
+    replaced it), so the caller can fall back to {!write_atomic}. The
+    identity check needs no read: [src] is held, so its identity is not
+    reused, and its bytes are the ones the caller read or wrote. Raises
+    (after removing the temp file) only if the rename fails. *)
+val link_atomic : held -> string -> bool

@@ -7,83 +7,124 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-(* ---------- emission ---------- *)
+(* ---------- emission ----------
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
+   Every token is written straight into the one output buffer: strings
+   are escaped in place, indentation is cut from one constant, and
+   numbers go through the runtime formatter [Printf] itself calls,
+   without [Printf]'s format interpretation. *)
+
+let hex_digits = "0123456789abcdef"
+
+let add_escaped buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  (* [plain] starts the run of bytes not yet copied that need no escape. *)
+  let plain = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !plain (i - !plain);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
+      | c ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+        Buffer.add_char buf hex_digits.[Char.code c land 15]);
+      plain := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !plain (n - !plain);
+  Buffer.add_char buf '"'
+
+let escape_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  add_escaped buf s;
   Buffer.contents buf
+
+external format_float : string -> float -> string = "caml_format_float"
 
 let float_repr x =
   if Float.is_nan x then "null"
   else if x = Float.infinity then "1e999"
   else if x = Float.neg_infinity then "-1e999"
-  else if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.1f" x
+  else if Float.is_integer x && Float.abs x < 1e15 then format_float "%.1f" x
   else begin
     (* Shortest representation that round-trips. *)
-    let s = Printf.sprintf "%.12g" x in
-    if float_of_string s = x then s else Printf.sprintf "%.17g" x
+    let s = format_float "%.12g" x in
+    if float_of_string s = x then s else format_float "%.17g" x
+  end
+
+let rec add_digits buf i =
+  if i >= 10 then add_digits buf (i / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (i mod 10)))
+
+let add_int buf i =
+  if i >= 0 then add_digits buf i
+  else if i = min_int then Buffer.add_string buf (string_of_int i)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-i)
+  end
+
+let spaces = String.make 64 ' '
+
+let rec add_spaces buf n =
+  if n <= String.length spaces then Buffer.add_substring buf spaces 0 n
+  else begin
+    Buffer.add_string buf spaces;
+    add_spaces buf (n - String.length spaces)
   end
 
 let to_string ?(pretty = false) v =
   let buf = Buffer.create 1024 in
-  let rec emit indent v =
-    let pad n = if pretty then Buffer.add_string buf (String.make (2 * n) ' ') in
-    let sep () = if pretty then Buffer.add_string buf "\n" in
-    match v with
+  (* Pretty output puts every element on its own line, indented two
+     spaces per level. *)
+  let newline level =
+    if pretty then begin
+      Buffer.add_char buf '\n';
+      add_spaces buf (2 * level)
+    end
+  in
+  let rec emit level = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
+    | Int i -> add_int buf i
     | Float x -> Buffer.add_string buf (float_repr x)
-    | String s -> Buffer.add_string buf (escape_string s)
+    | String s -> add_escaped buf s
     | List [] -> Buffer.add_string buf "[]"
-    | List items ->
+    | List (first :: rest) ->
       Buffer.add_char buf '[';
-      sep ();
-      List.iteri
-        (fun i item ->
-          if i > 0 then begin
-            Buffer.add_char buf ',';
-            sep ()
-          end;
-          pad (indent + 1);
-          emit (indent + 1) item)
-        items;
-      sep ();
-      pad indent;
+      newline (level + 1);
+      emit (level + 1) first;
+      List.iter
+        (fun item ->
+          Buffer.add_char buf ',';
+          newline (level + 1);
+          emit (level + 1) item)
+        rest;
+      newline level;
       Buffer.add_char buf ']'
     | Obj [] -> Buffer.add_string buf "{}"
-    | Obj fields ->
+    | Obj (first :: rest) ->
       Buffer.add_char buf '{';
-      sep ();
-      List.iteri
-        (fun i (k, item) ->
-          if i > 0 then begin
-            Buffer.add_char buf ',';
-            sep ()
-          end;
-          pad (indent + 1);
-          Buffer.add_string buf (escape_string k);
-          Buffer.add_string buf (if pretty then ": " else ":");
-          emit (indent + 1) item)
-        fields;
-      sep ();
-      pad indent;
+      field level first;
+      List.iter
+        (fun kv ->
+          Buffer.add_char buf ',';
+          field level kv)
+        rest;
+      newline level;
       Buffer.add_char buf '}'
+  and field level (k, item) =
+    newline (level + 1);
+    add_escaped buf k;
+    Buffer.add_string buf (if pretty then ": " else ":");
+    emit (level + 1) item
   in
   emit 0 v;
   if pretty then Buffer.add_char buf '\n';
@@ -189,14 +230,13 @@ let parse_number p =
   let is_integral =
     not (String.exists (fun c -> c = '.' || c = 'e' || c = 'E') text)
   in
-  if is_integral then
-    match int_of_string_opt text with
-    | Some i -> Int i
-    | None -> Float (float_of_string text)
-  else
+  match if is_integral then int_of_string_opt text else None with
+  | Some i -> Int i
+  | None -> (
+    (* Integral text beyond the int range still parses, as a float. *)
     match float_of_string_opt text with
     | Some f -> Float f
-    | None -> fail_at p "malformed number"
+    | None -> fail_at p "malformed number")
 
 let rec parse_value p =
   skip_ws p;
@@ -264,14 +304,7 @@ let of_string s =
     else Ok v
   with Parse_error msg -> Error msg
 
-let of_file path =
-  match
-    In_channel.with_open_bin path (fun ic ->
-        really_input_string ic (in_channel_length ic))
-  with
-  | content -> of_string content
-  | exception Sys_error msg -> Error msg
-  | exception End_of_file -> Error (path ^ ": truncated while reading")
+let of_file path = Result.bind (Fsutil.read path (fun content _ -> content)) of_string
 
 (* ---------- accessors ---------- *)
 

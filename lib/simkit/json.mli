@@ -16,9 +16,15 @@ type t =
   | Obj of (string * t) list
 
 (** [to_string ?pretty v] renders a document. [Float] values use the
-    shortest decimal form that round-trips; NaN renders as [null] and the
-    infinities as [±1e999] (out-of-range literals that parse back to
-    infinities). *)
+    shortest decimal form that round-trips: integral values below 1e15
+    as [%.1f], otherwise [%.12g] when that parses back to the same
+    float, else [%.17g]; NaN renders as [null] and the infinities as
+    [±1e999] (out-of-range literals that parse back to infinities).
+    Every token is written straight into one buffer — no buffer per
+    string, no [Printf] per number — and the bytes are exactly those of
+    the earlier emitter that did both, which checkpoints, digests and
+    manifests depend on ([test/simkit] keeps that emitter as the
+    reference). *)
 val to_string : ?pretty:bool -> t -> string
 
 (** [digest v] is the hex MD5 of [to_string v] (the compact form): the
@@ -32,12 +38,16 @@ val escape_string : string -> string
 val float_repr : float -> string
 
 (** [of_string s] parses a complete document; trailing non-whitespace is
-    an error. Numbers without [./e/E] parse as [Int] when they fit. *)
+    an error. Numbers without [./e/E] parse as [Int] when they fit and
+    as [Float] when they do not; text that is no number at all ([1-2],
+    [+], [--5]) is an [Error], like any other malformed input. Total:
+    it never raises. *)
 val of_string : string -> (t, string) result
 
-(** [of_file path] reads and parses [path]. Total: a path that cannot be
-    opened or read (absent, a directory, no permission) is an [Error]
-    carrying the system message, like a parse failure. *)
+(** [of_file path] reads ({!Fsutil.read}) and parses [path]. Total: a
+    path that cannot be opened or read (absent, a directory, no
+    permission) is an [Error] carrying the system message, like a parse
+    failure. *)
 val of_file : string -> (t, string) result
 
 (** [member key v] looks a field up in an [Obj] ([None] otherwise). *)

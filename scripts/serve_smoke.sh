@@ -6,11 +6,13 @@
 #      kill -9 the daemon once at least 3 cells have landed;
 #   3. restart the daemon, resubmit with --resume, and require the
 #      manifest and every cell checkpoint to be byte-identical to the
-#      batch reference;
+#      batch reference, and each manifest digest to be the MD5 of its
+#      checkpoint on disk;
 #   4. submit the same work to a third directory and require it to be
 #      served 100% from the content-addressed cache (0 ran), byte-identical
 #      to the batch reference, with every cell checkpoint a hard link to
-#      its cache record (no file created per hit);
+#      its cache record (no file created per hit), and its manifest
+#      digests checked against the files as in step 3;
 #   5. graceful shutdown.
 #
 # Honors COBRA_DOMAINS like every other drill (the daemon pool defaults
@@ -78,6 +80,7 @@ cmp _results/serve-a/manifest.json _results/serve-b/manifest.json
 for f in _results/serve-a/cells/*.json; do
   cmp "$f" "_results/serve-b/cells/$(basename "$f")"
 done
+sh scripts/check_manifest_digests.sh _results/serve-a _results/serve-b
 
 # 4. Identical work to a fresh directory: served entirely from the cache.
 out=$("$BIN" client submit --socket "$SOCK" --grid "$GRID" \
@@ -97,6 +100,7 @@ if [ -n "$unlinked" ]; then
   echo "$unlinked" >&2
   exit 1
 fi
+sh scripts/check_manifest_digests.sh _results/serve-c
 
 # 5. Graceful shutdown.
 "$BIN" client shutdown --socket "$SOCK"

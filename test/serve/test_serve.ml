@@ -216,6 +216,25 @@ let check_matches_batch ?grid ~dir ~out label =
   ignore (batch_sweep ?grid ~out:reference ());
   check Alcotest.string label (manifest reference) (manifest out)
 
+(* The manifest's digests come from the daemon's memory, not from
+   re-reading cells/: each must be the MD5 of the file it lists. *)
+let check_manifest_digests out =
+  match Json.of_file (Filename.concat out "manifest.json") with
+  | Error msg -> Alcotest.fail msg
+  | Ok doc ->
+    List.iter
+      (fun entry ->
+        let field k =
+          match Option.bind (Json.member k entry) Json.to_string_opt with
+          | Some v -> v
+          | None -> Alcotest.failf "manifest entry has no %S" k
+        in
+        check Alcotest.string
+          (Printf.sprintf "%s: manifest digest of %s" out (field "file"))
+          (Digest.to_hex (Digest.file (Filename.concat out (field "file"))))
+          (field "digest"))
+      (Option.value ~default:[] (Option.bind (Json.member "cells" doc) Json.to_list))
+
 let test_submit_matches_batch_sweep () =
   with_daemon (fun ~socket ~dir ->
       let out = Filename.concat dir "job-out" in
@@ -264,6 +283,8 @@ let test_resubmission_is_all_cache_hits () =
       check Alcotest.int "second submission is all cache hits" n_cells
         (int_field final_b "cached");
       check Alcotest.string "artifacts byte-identical" (manifest out_a) (manifest out_b);
+      check_manifest_digests out_a;
+      check_manifest_digests out_b;
       (* Both submissions' checkpoints are hard links to the cache
          records: the miss linked the record it put, the hit linked the
          record it found. *)
@@ -366,6 +387,29 @@ let test_interrupted_then_resubmitted () =
       check Alcotest.int "ran only the rest" 2 (int_field final "ran");
       (* Reference: uninterrupted batch run. *)
       check_matches_batch ~dir ~out "manifest byte-identical after daemon resume")
+
+(* A finished job keeps only the counts [status] reports from its plan:
+   they must survive the plan being dropped. *)
+let test_status_after_resume_with_a_corrupt_checkpoint () =
+  with_daemon (fun ~socket ~dir ->
+      let out = Filename.concat dir "resumed" in
+      ignore (batch_sweep ~out ());
+      let victim = Filename.concat out "cells/cell_00002.json" in
+      let bytes = read_file victim in
+      let oc = open_out_bin victim in
+      output_string oc (String.sub bytes 0 (String.length bytes / 2));
+      close_out oc;
+      let _, final, _ = submit_and_watch ~socket ~out ~resume:true () in
+      check Alcotest.string "resumed to done" "done" (str_field final "status");
+      check Alcotest.int "ran the corrupt cell" 1 (int_field final "ran");
+      match Client.request ~socket (Protocol.Status { job = str_field final "job" }) with
+      | Error msg -> Alcotest.fail msg
+      | Ok doc ->
+        check Alcotest.string "status done" "done" (str_field doc "status");
+        check Alcotest.int "reused" (n_cells - 1) (int_field doc "reused");
+        check Alcotest.int "corrupted" 1 (int_field doc "corrupted");
+        check_matches_batch ~dir ~out "manifest byte-identical after the corrupt re-run";
+        check_manifest_digests out)
 
 let test_resume_without_flag_is_refused () =
   with_daemon (fun ~socket ~dir ->
@@ -538,6 +582,27 @@ let test_oversized_frame_is_refused () =
       | Ok doc -> check Alcotest.int "daemon still serves" 2 (int_field doc "domains")
       | Error msg -> Alcotest.fail msg)
 
+(* A number the parser cannot read is a bad request like any other
+   malformed JSON, and the daemon keeps serving. *)
+let test_malformed_number_is_a_bad_request () =
+  with_daemon (fun ~socket ~dir:_ ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX socket);
+          let frame = {|{"op":"stats","x":1-2}|} ^ "\n" in
+          ignore (Unix.write_substring fd frame 0 (String.length frame));
+          match input_line (Unix.in_channel_of_descr fd) with
+          | exception End_of_file -> Alcotest.fail "no reply to a malformed number"
+          | line -> (
+            match Result.map Protocol.response_error (Json.of_string line) with
+            | Ok (Some (Protocol.Bad_request, _)) -> ()
+            | _ -> Alcotest.failf "expected a bad-request reply, got %s" line));
+      match Client.request ~socket Protocol.Stats with
+      | Ok doc -> check Alcotest.int "daemon still serves" 2 (int_field doc "domains")
+      | Error msg -> Alcotest.fail msg)
+
 let () =
   Alcotest.run "serve"
     [
@@ -567,6 +632,10 @@ let () =
           Alcotest.test_case "cancel and status" `Quick test_cancel_and_status;
           Alcotest.test_case "oversized request frame is refused" `Quick
             test_oversized_frame_is_refused;
+          Alcotest.test_case "status after a resume with a corrupt checkpoint" `Quick
+            test_status_after_resume_with_a_corrupt_checkpoint;
+          Alcotest.test_case "malformed number in a frame is a bad request" `Quick
+            test_malformed_number_is_a_bad_request;
         ] );
       ( "lanes",
         [

@@ -389,7 +389,14 @@ let test_json_parse_forms () =
   check Alcotest.bool "unterminated rejected" true
     (Result.is_error (Json.of_string "[1, 2"));
   check Alcotest.bool "bad literal rejected" true
-    (Result.is_error (Json.of_string "flase"))
+    (Result.is_error (Json.of_string "flase"));
+  List.iter
+    (fun text ->
+      check Alcotest.bool (Printf.sprintf "malformed number %S rejected" text) true
+        (Result.is_error (Json.of_string text)))
+    [ "[1-2]"; "+"; "--5"; "1e" ];
+  check Alcotest.bool "integral text beyond the int range is a float" true
+    (Json.of_string "99999999999999999999" = Ok (Json.Float 1e20))
 
 let test_json_accessors () =
   check Alcotest.bool "member" true
@@ -403,6 +410,157 @@ let json_string_roundtrip_prop =
   QCheck.Test.make ~name:"json string escape round-trips" ~count:300
     QCheck.printable_string (fun s ->
       Json.of_string (Json.escape_string s) = Ok (Json.String s))
+
+(* The emitter as it was when every string got a buffer of its own and
+   every float went through [Printf]: the reference whose bytes
+   [Json.to_string] must reproduce, pretty and compact. *)
+module Reference_json = struct
+  let escape_string s =
+    let buf = Buffer.create (String.length s + 2) in
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"';
+    Buffer.contents buf
+
+  let float_repr x =
+    if Float.is_nan x then "null"
+    else if x = Float.infinity then "1e999"
+    else if x = Float.neg_infinity then "-1e999"
+    else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
+    else begin
+      let s = Printf.sprintf "%.12g" x in
+      if float_of_string s = x then s else Printf.sprintf "%.17g" x
+    end
+
+  let to_string ?(pretty = false) v =
+    let buf = Buffer.create 1024 in
+    let rec emit indent v =
+      let pad n = if pretty then Buffer.add_string buf (String.make (2 * n) ' ') in
+      let sep () = if pretty then Buffer.add_string buf "\n" in
+      match v with
+      | Json.Null -> Buffer.add_string buf "null"
+      | Json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+      | Json.Int i -> Buffer.add_string buf (string_of_int i)
+      | Json.Float x -> Buffer.add_string buf (float_repr x)
+      | Json.String s -> Buffer.add_string buf (escape_string s)
+      | Json.List [] -> Buffer.add_string buf "[]"
+      | Json.List items ->
+        Buffer.add_char buf '[';
+        sep ();
+        List.iteri
+          (fun i item ->
+            if i > 0 then begin
+              Buffer.add_char buf ',';
+              sep ()
+            end;
+            pad (indent + 1);
+            emit (indent + 1) item)
+          items;
+        sep ();
+        pad indent;
+        Buffer.add_char buf ']'
+      | Json.Obj [] -> Buffer.add_string buf "{}"
+      | Json.Obj fields ->
+        Buffer.add_char buf '{';
+        sep ();
+        List.iteri
+          (fun i (k, item) ->
+            if i > 0 then begin
+              Buffer.add_char buf ',';
+              sep ()
+            end;
+            pad (indent + 1);
+            Buffer.add_string buf (escape_string k);
+            Buffer.add_string buf (if pretty then ": " else ":");
+            emit (indent + 1) item)
+          fields;
+        sep ();
+        pad indent;
+        Buffer.add_char buf '}'
+    in
+    emit 0 v;
+    if pretty then Buffer.add_char buf '\n';
+    Buffer.contents buf
+end
+
+let json_doc_gen =
+  let open QCheck.Gen in
+  let tricky_char =
+    frequency
+      [
+        (3, printable);
+        (2, char_range '\000' '\031');
+        (2, oneofl [ '"'; '\\'; '/'; '\127'; '\128'; '\255' ]);
+      ]
+  in
+  let str = string_size ~gen:tricky_char (0 -- 12) in
+  let tricky_float =
+    frequency
+      [
+        (3, float);
+        ( 3,
+          oneofl
+            [
+              0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 0.1; 1.0 /. 3.0;
+              1e15; -1e15; 1e15 -. 1.0; 1e16; 4.5e15; 5e-324; Float.max_float;
+              Float.min_float; 22.099999999999998;
+            ] );
+        (* Integral values on both sides of the 1e15 cut. *)
+        (2, map (fun i -> Float.of_int i *. 1e13) (-1000 -- 1000));
+        (2, map Float.of_int int);
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) (oneof [ int; small_signed_int; oneofl [ min_int; max_int; 0 ] ]);
+        map (fun x -> Json.Float x) tricky_float;
+        map (fun s -> Json.String s) str;
+      ]
+  in
+  let tree =
+    sized_size (0 -- 12)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, return (Json.List []));
+                 (1, return (Json.Obj []));
+                 (3, map (fun l -> Json.List l) (list_size (1 -- 4) (self (n / 2))));
+                 ( 3,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (1 -- 4) (pair str (self (n / 2)))) );
+               ])
+  in
+  (* Deep nesting: indentation beyond any fixed run of spaces. *)
+  let rec wrap depth v =
+    if depth = 0 then v
+    else wrap (depth - 1) (if depth mod 2 = 0 then Json.List [ v ] else Json.Obj [ ("k", v) ])
+  in
+  frequency [ (4, tree); (1, map2 wrap (0 -- 60) tree) ]
+
+let json_emitter_matches_reference_prop =
+  QCheck.Test.make ~name:"emitter bytes equal the reference emitter's" ~count:2000
+    (QCheck.make ~print:(Reference_json.to_string ~pretty:false) json_doc_gen)
+    (fun v ->
+      Json.to_string v = Reference_json.to_string v
+      && Json.to_string ~pretty:true v = Reference_json.to_string ~pretty:true v)
 
 (* ---------- Artifact ---------- *)
 
@@ -614,6 +772,25 @@ let replace_once haystack needle replacement =
     String.sub haystack 0 i ^ replacement
     ^ String.sub haystack (i + nn) (nh - i - nn)
 
+(* [finalize] writes the digests the campaign kept in memory: each must
+   be the MD5 of the file on disk that the manifest lists. *)
+let check_manifest_digests dir =
+  match Json.of_file (Filename.concat dir "manifest.json") with
+  | Error msg -> Alcotest.fail msg
+  | Ok doc ->
+    let entries = Option.get (Option.bind (Json.member "cells" doc) Json.to_list) in
+    check Alcotest.int "one manifest entry per checkpoint"
+      (Array.length (Sys.readdir (Filename.concat dir "cells")))
+      (List.length entries);
+    List.iter
+      (fun entry ->
+        let field k = Option.get (Option.bind (Json.member k entry) Json.to_string_opt) in
+        check Alcotest.string
+          (Printf.sprintf "manifest digest of %s" (field "file"))
+          (Digest.to_hex (Digest.file (Filename.concat dir (field "file"))))
+          (field "digest"))
+      entries
+
 let test_campaign_complete_run () =
   let dir = campaign_dir () in
   let executions = ref 0 in
@@ -641,7 +818,8 @@ let test_campaign_complete_run () =
         check Alcotest.int "manifest cells" 4
           (List.length (Option.get (Simkit.Json.to_list cells)))));
     check Alcotest.bool "grid.json written" true
-      (Sys.file_exists (Filename.concat dir "grid.json"))
+      (Sys.file_exists (Filename.concat dir "grid.json"));
+    check_manifest_digests dir
 
 let test_campaign_refuses_without_resume () =
   let dir = campaign_dir () in
@@ -727,7 +905,8 @@ let test_campaign_corrupt_checkpoint_rerun () =
          (function Simkit.Campaign.Corrupt_rerun _ -> true | _ -> false)
          !lines);
     check Alcotest.string "corrupt record re-written with original bytes" good
-      (slurp victim)
+      (slurp victim);
+    check_manifest_digests dir
 
 (* The payload digest does not cover the meta block, so a tampered (or
    stale) meta must be caught by the field-for-field identity check. *)
@@ -880,7 +1059,13 @@ let test_cellstore_corrupt_record_is_a_miss () =
         (Simkit.Cellstore.find store ~master:3 id = None);
       spew path "not json at all";
       check Alcotest.bool "unparseable record degrades to a miss" true
-        (Simkit.Cellstore.find store ~master:3 id = None))
+        (Simkit.Cellstore.find store ~master:3 id = None);
+      Simkit.Cellstore.put store ~master:3 id payload;
+      spew path (replace_once (slurp path) "\"master\": 3" "\"master\": 5-2");
+      check Alcotest.bool "a malformed number degrades to a miss" true
+        (Simkit.Cellstore.find store ~master:3 id = None);
+      check Alcotest.int "each counted as a miss" 3
+        (Simkit.Cellstore.stats store).Simkit.Cellstore.misses)
 
 (* ---------- campaign x cache ---------- *)
 
@@ -954,6 +1139,14 @@ let test_campaign_second_run_is_all_cache_hits () =
       (* A miss stores the checkpoint as the record and links it. *)
       check_linked store dir1 cells;
       check_same_bytes ~reference dir1 cells;
+      check_manifest_digests dir1;
+      let counts () =
+        let st = Simkit.Cellstore.stats store in
+        Simkit.Cellstore.(st.misses, st.puts, st.hits)
+      in
+      check
+        Alcotest.(triple int int int)
+        "cold pass: one miss and one put per cell" (5, 5, 0) (counts ());
       (match
          Simkit.Campaign.run (campaign_config ~cache:store dir2) ~name:"synth"
            ~cells
@@ -969,7 +1162,11 @@ let test_campaign_second_run_is_all_cache_hits () =
       (* Byte-identity of the cached path with the computed path; a hit
          creates no file: each checkpoint is a link to its record. *)
       check_same_bytes ~reference dir2 cells;
-      check_linked store dir2 cells)
+      check_linked store dir2 cells;
+      check_manifest_digests dir2;
+      check
+        Alcotest.(triple int int int)
+        "cached pass: one hit per cell" (5, 5, 5) (counts ()))
 
 let test_campaign_cache_misses_on_different_identity () =
   with_temp_dir ~prefix:"cellcache" (fun cache_dir ->
@@ -1024,7 +1221,8 @@ let test_campaign_hit_from_other_campaign_writes_a_file () =
       check Alcotest.int "every cell cached" 4 r.Simkit.Campaign.cached;
       check Alcotest.int "nothing ran" 0 r.Simkit.Campaign.ran;
       check_same_bytes ~reference dir cells;
-      check_unlinked dir cells)
+      check_unlinked dir cells;
+      check_manifest_digests dir)
 
 (* Records written by the payload-only [put] (schema cobra.cellstore/1)
    still hit; the checkpoint is then written, not linked. *)
@@ -1186,6 +1384,38 @@ let test_write_atomic_failure_leaves_no_temp () =
         "no temp file left behind" [ "target" ]
         (Array.to_list (Sys.readdir dir)))
 
+(* The link is checked against the held file's identity: a path that a
+   concurrent rename pointed at another file is refused, leaving nothing
+   behind; a path still naming the held file is linked. *)
+let test_link_atomic_checks_identity () =
+  with_temp_dir ~prefix:"link_atomic" (fun dir ->
+      Simkit.Fsutil.mkdir_p dir;
+      let src = Filename.concat dir "src" and dst = Filename.concat dir "dst" in
+      Simkit.Fsutil.write_held src "old" (fun held ->
+          Simkit.Fsutil.write_atomic src "new";
+          check Alcotest.bool "a replaced source is refused" false
+            (Simkit.Fsutil.link_atomic held dst));
+      check
+        Alcotest.(list string)
+        "no temp file and no link left behind" [ "src" ]
+        (Array.to_list (Sys.readdir dir));
+      let linked path =
+        let st = Unix.stat path in
+        check Alcotest.int (path ^ " shares the source's inode") (Unix.stat src).Unix.st_ino
+          st.Unix.st_ino;
+        check Alcotest.bool (path ^ " is a second link") true (st.Unix.st_nlink >= 2)
+      in
+      Simkit.Fsutil.write_held src "bytes" (fun held ->
+          check Alcotest.bool "a written file is linked" true
+            (Simkit.Fsutil.link_atomic held dst));
+      linked dst;
+      let other = Filename.concat dir "other" in
+      (match Simkit.Fsutil.read src (fun _ held -> Simkit.Fsutil.link_atomic held other) with
+      | Ok linked_ -> check Alcotest.bool "a read file is linked" true linked_
+      | Error msg -> Alcotest.fail msg);
+      linked other;
+      check Alcotest.string "the link holds the bytes" "bytes" (slurp other))
+
 let test_cellstore_unreadable_record_is_a_miss () =
   with_temp_dir ~prefix:"cellstore_unreadable" (fun dir ->
       let store = Simkit.Cellstore.open_ ~dir in
@@ -1196,21 +1426,54 @@ let test_cellstore_unreadable_record_is_a_miss () =
       check Alcotest.int "counted as a miss" 1
         (Simkit.Cellstore.stats store).Simkit.Cellstore.misses)
 
+(* A directory, a dangling symlink and a number the parser cannot read
+   at checkpoint paths are all reported corrupt. *)
 let test_campaign_plan_unreadable_checkpoint_is_corrupt () =
   let dir = campaign_dir () in
-  let cells = synth_cells 3 in
+  let cells = synth_cells 5 in
   ignore (run_ok (campaign_config dir) cells);
-  let victim = cell_path dir 1 in
-  Sys.remove victim;
-  Sys.mkdir victim 0o755;
+  Sys.remove (cell_path dir 1);
+  Sys.mkdir (cell_path dir 1) 0o755;
+  Sys.remove (cell_path dir 2);
+  Unix.symlink (Filename.concat dir "absent.json") (cell_path dir 2);
+  spew (cell_path dir 3) (replace_once (slurp (cell_path dir 3)) "\"index\": 3" "\"index\": 1-2");
   match Simkit.Campaign.plan (campaign_config ~resume:true dir) ~name:"synth" ~cells with
   | Error msg -> Alcotest.fail msg
   | Ok p ->
     check
       Alcotest.(list int)
-      "the unreadable checkpoint is corrupt" [ 1 ]
+      "the unreadable checkpoints are corrupt" [ 1; 2; 3 ]
       (List.map (fun ((c : Simkit.Campaign.cell), _, _) -> c.index) p.Simkit.Campaign.p_corrupt);
     check Alcotest.int "the others are reused" 2 p.Simkit.Campaign.p_reused
+
+(* [remaining] and [finalize] count what this campaign placed or reused,
+   from memory: a plan over a partial run knows the reused cells, and
+   the manifest appears once the last cell is executed. *)
+let test_campaign_finalize_counts_placed_cells () =
+  let reference = reference_run (synth_cells 5) in
+  let dir = campaign_dir () in
+  let cells = synth_cells 5 in
+  ignore (run_ok (campaign_config ~max_cells:2 dir) cells);
+  match Simkit.Campaign.plan (campaign_config ~resume:true dir) ~name:"synth" ~cells with
+  | Error msg -> Alcotest.fail msg
+  | Ok p ->
+    check Alcotest.int "two reused" 2 p.Simkit.Campaign.p_reused;
+    check Alcotest.int "three never executed" 3 (Simkit.Campaign.remaining p);
+    check Alcotest.bool "no manifest while cells remain" true
+      (Simkit.Campaign.finalize p = None);
+    check Alcotest.bool "no manifest written" false
+      (Sys.file_exists (Filename.concat dir "manifest.json"));
+    (match p.Simkit.Campaign.p_pending with
+    | c :: rest ->
+      ignore (Simkit.Campaign.execute_cell p c);
+      check Alcotest.int "two never executed" 2 (Simkit.Campaign.remaining p);
+      check Alcotest.bool "still no manifest" true (Simkit.Campaign.finalize p = None);
+      List.iter (fun c -> ignore (Simkit.Campaign.execute_cell p c)) rest
+    | [] -> Alcotest.fail "expected pending cells");
+    check Alcotest.int "none remaining" 0 (Simkit.Campaign.remaining p);
+    check Alcotest.bool "manifest once complete" true (Simkit.Campaign.finalize p <> None);
+    check_same_bytes ~reference dir cells;
+    check_manifest_digests dir
 
 (* ---------- campaign events ---------- *)
 
@@ -1379,6 +1642,7 @@ let () =
           qtest json_string_roundtrip_prop;
           Alcotest.test_case "of_file on unreadable paths" `Quick
             test_json_of_file_unreadable;
+          qtest json_emitter_matches_reference_prop;
         ] );
       ( "artifact",
         [
@@ -1433,6 +1697,8 @@ let () =
             `Quick test_campaign_plan_unreadable_checkpoint_is_corrupt;
           Alcotest.test_case "re-linking a linked cell leaves no temp file" `Quick
             test_campaign_relinking_leaves_no_temp;
+          Alcotest.test_case "finalize and remaining count placed cells" `Quick
+            test_campaign_finalize_counts_placed_cells;
         ] );
       ( "cellid",
         [
@@ -1455,6 +1721,8 @@ let () =
         [
           Alcotest.test_case "failed write leaves no temp file" `Quick
             test_write_atomic_failure_leaves_no_temp;
+          Alcotest.test_case "link checks the held file's identity" `Quick
+            test_link_atomic_checks_identity;
         ] );
       ( "eventlog",
         [
