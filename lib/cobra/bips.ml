@@ -6,6 +6,7 @@ type t = {
   mutable source : int;
   mutable infected : Bitset.t; (* A_t *)
   mutable next : Bitset.t; (* A_{t+1} under construction *)
+  picks : int array; (* one vertex's picks, [Branching.picks_into]'s buffer *)
   mutable count : int;
   mutable round : int;
 }
@@ -26,6 +27,7 @@ let create g ~branching ~source =
     source;
     infected;
     next = Bitset.create n;
+    picks = Branching.picks_buffer branching g;
     count = 1;
     round = 0;
   }
@@ -48,26 +50,40 @@ let infected_count p = p.count
 let infected_set p = Array.of_list (Bitset.to_list p.infected)
 let is_saturated p = p.count = Graph.View.n_vertices p.graph
 
+(* [Bitset]'s layout, written once for the step: member [i] is bit
+   [i land 31] of [words.(i lsr 5)]. *)
+let[@inline] mem_word words i =
+  Array.unsafe_get words (i lsr 5) land (1 lsl (i land 31)) <> 0
+
+let[@inline] add_word words i =
+  let wi = i lsr 5 in
+  Array.unsafe_set words wi (Array.unsafe_get words wi lor (1 lsl (i land 31)))
+
 let step p rng =
   let g = p.graph in
   let n = Graph.View.n_vertices g in
   Bitset.clear p.next;
   let count = ref 0 in
-  (* [u] scans [0 .. n-1] and [w] comes from the adjacency array, so the
-     unchecked bitset operations are in range by construction. *)
+  (* [u] scans [0 .. n-1] and every pick comes from the adjacency
+     arrays, so the in-place word reads and writes are in range by
+     construction. One [Branching.picks_into] call per vertex; every
+     pick is drawn, hit or not, as the draw count requires. *)
+  let infected = p.infected.Bitset.words and next = p.next.Bitset.words in
+  let picks = p.picks in
   for u = 0 to n - 1 do
-    if u = p.source then begin
-      Bitset.unsafe_add p.next u;
-      incr count
-    end
-    else begin
+    let hit =
+      u = p.source
+      ||
+      let c = Branching.picks_into p.branching rng g u picks in
       let hit = ref false in
-      let check w = if Bitset.unsafe_mem p.infected w then hit := true in
-      ignore (Branching.iter_picks p.branching rng g u ~f:check);
-      if !hit then begin
-        Bitset.unsafe_add p.next u;
-        incr count
-      end
+      for j = 0 to c - 1 do
+        if mem_word infected (Array.unsafe_get picks j) then hit := true
+      done;
+      !hit
+    in
+    if hit then begin
+      add_word next u;
+      incr count
     end
   done;
   let old = p.infected in

@@ -25,10 +25,10 @@ let draws t rng =
   | Fixed k | Distinct k -> k
   | One_plus rho -> if Prng.Rng.bernoulli rng rho then 2 else 1
 
-let iter_picks t rng g v ~f =
+let picks_into t rng g v buf =
   (* One range check per call; the per-pick reads then use the unchecked
-     CSR accessors (every pick stays inside [v]'s adjacency slice). This
-     is the innermost loop of [Process.step] and [Bips.step]. *)
+     view accessors (every pick stays inside [v]'s adjacency slice). This
+     is the innermost loop of every process step. *)
   if v < 0 || v >= Graph.View.n_vertices g then
     invalid_arg "Branching.iter_picks: vertex out of range";
   let deg = Graph.View.unsafe_degree g v in
@@ -36,21 +36,33 @@ let iter_picks t rng g v ~f =
   match t with
   | Fixed _ | One_plus _ ->
     let picks = draws t rng in
-    for _ = 1 to picks do
-      f (Graph.View.unsafe_random_neighbour g rng v)
+    for i = 0 to picks - 1 do
+      buf.(i) <- Graph.View.unsafe_random_neighbour g rng v
     done;
     picks
   | Distinct k ->
     let k = min k deg in
-    if k = deg then begin
-      Graph.View.unsafe_iter_neighbours g v ~f;
-      deg
-    end
+    if k = deg then Graph.View.unsafe_neighbours_into g v buf
     else begin
       let picked = Prng.Sample.without_replacement rng ~k ~n:deg in
-      Array.iter (fun i -> f (Graph.View.unsafe_nth_neighbour g v i)) picked;
+      for j = 0 to k - 1 do
+        buf.(j) <- Graph.View.unsafe_nth_neighbour g v picked.(j)
+      done;
       k
     end
+
+let picks_buffer t g =
+  match t with
+  | Fixed _ | One_plus _ -> Array.make (max_picks t) 0
+  | Distinct k -> Array.make (min k (Graph.View.max_degree g)) 0
+
+let iter_picks t rng g v ~f =
+  let buf = picks_buffer t g in
+  let picks = picks_into t rng g v buf in
+  for i = 0 to picks - 1 do
+    f buf.(i)
+  done;
+  picks
 
 let pick_count_distribution = function
   | Fixed k | Distinct k -> [ (k, 1.0) ]

@@ -45,14 +45,34 @@ val expected : t -> float
 val max_picks : t -> int
 
 (** [draws t rng] samples the number of picks for one vertex this round
-    (for [Distinct k] this is the nominal [k]; callers use {!iter_picks}
+    (for [Distinct k] this is the nominal [k]; callers use {!picks_into}
     which applies the degree cap). *)
 val draws : t -> Prng.Rng.t -> int
 
-(** [iter_picks t rng g v ~f] draws this round's neighbour picks for
-    vertex [v] and applies [f] to each — the single sampling routine every
-    process engine uses, so all of them agree on each scheme's meaning.
-    Returns the number of picks made. *)
+(** [picks_into t rng g v buf] draws this round's neighbour picks for
+    vertex [v] into [buf.(0 .. c - 1)] and returns the count [c] — the
+    single sampling routine every process engine uses, so all of them
+    agree on each scheme's meaning. [buf] must be at least as long as
+    {!picks_buffer}[ t g]. A kernel step calls it once per vertex and
+    reads the picks from [buf], so a pick costs no closure call:
+    [Fixed]/[One_plus] picks are one
+    {!Graph.View.unsafe_random_neighbour} each (never a
+    whole-neighbourhood read), [Distinct] picks are
+    [Prng.Sample.without_replacement] indices, or the whole
+    neighbourhood in order when [k >= degree]. Raises
+    [Invalid_argument] (["Branching.iter_picks: ..."]) for an
+    out-of-range or isolated [v], before any draw. *)
+val picks_into : t -> Prng.Rng.t -> Graph.View.t -> int -> int array -> int
+
+(** [picks_buffer t g] is a buffer {!picks_into} can fill for every
+    vertex of [g]: [max_picks t] entries, or for [Distinct k] at most
+    [g]'s maximum degree, where picks without replacement stop (so a
+    large [k] costs no memory). *)
+val picks_buffer : t -> Graph.View.t -> int array
+
+(** [iter_picks t rng g v ~f] is {!picks_into} applying [f] to each
+    pick, in order, with a fresh buffer per call: for one-off draws, not
+    for a step loop. Returns the number of picks made. *)
 val iter_picks : t -> Prng.Rng.t -> Graph.View.t -> int -> f:(int -> unit) -> int
 
 (** [pick_count_distribution t] lists [(count, probability)] pairs of the

@@ -92,6 +92,43 @@ let trajectory t g params rng ~key =
 
 let fi = float_of_int
 
+(* The steps below test and set membership through the [Bitset] words in
+   place and keep their counters in locals for the round: a call into
+   [Bitset] per vertex is never inlined under the [-opaque] dev profile.
+   [Bitset]'s layout is written once, here: member [i] is bit
+   [i land 31] of [words.(i lsr 5)]. *)
+
+let[@inline] mem_word words i =
+  Array.unsafe_get words (i lsr 5) land (1 lsl (i land 31)) <> 0
+
+(* Adds [i]; [true] iff it was not a member. *)
+let[@inline] add_new words i =
+  let wi = i lsr 5 and bit = 1 lsl (i land 31) in
+  let cell = Array.unsafe_get words wi in
+  cell land bit = 0
+  &&
+  (Array.unsafe_set words wi (cell lor bit);
+   true)
+
+(* The member that bit [b] of [words.(wi)] stands for. *)
+let[@inline] member_at wi b = (wi lsl 5) + b
+
+(* Trailing-zero count of a nonzero 32-bit cell ([Bitset]'s). *)
+let ctz x =
+  let x = (x land -x) - 1 in
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
+  (x * 0x01010101) lsr 24 land 0x3F
+
+(* Adds the members of [newly] missing from [words]; returns how many. *)
+let absorb words newly =
+  let added = ref 0 in
+  for i = 0 to newly.Dstruct.Intvec.len - 1 do
+    if add_new words (Array.unsafe_get newly.Dstruct.Intvec.data i) then incr added
+  done;
+  !added
+
 let round_cap g = 10_000 + (100 * Graph.View.n_vertices g)
 
 let cobra =
@@ -153,20 +190,22 @@ let rwalk =
         if params.walkers < 1 then invalid_arg "Kernel.rwalk: walkers >= 1";
         let seen = Bitset.create n in
         Bitset.add seen params.start;
+        let seen = seen.Bitset.words in
         let positions = Array.make params.walkers params.start in
         let remaining = ref (n - 1) in
         let rounds = ref 0 in
         {
           step =
             (fun rng ->
-              for w = 0 to params.walkers - 1 do
-                let next = Graph.View.unsafe_random_neighbour g rng positions.(w) in
-                positions.(w) <- next;
-                if not (Bitset.unsafe_mem seen next) then begin
-                  Bitset.unsafe_add seen next;
-                  decr remaining
-                end
+              let left = ref !remaining in
+              for w = 0 to Array.length positions - 1 do
+                let next =
+                  Graph.View.unsafe_random_neighbour g rng (Array.unsafe_get positions w)
+                in
+                Array.unsafe_set positions w next;
+                if add_new seen next then decr left
               done;
+              remaining := !left;
               incr rounds);
           is_complete = (fun () -> !remaining = 0);
           rounds = (fun () -> !rounds);
@@ -176,11 +215,11 @@ let rwalk =
         });
   }
 
-(* One push round: every informed vertex, in increasing order
-   ([Bitset.iter] is the increasing word scan, so sparse early rounds on
-   a large universe skip empty words), pushes to one checked neighbour
-   draw; informing applies synchronously after the scan, as in the COBRA
-   round structure. *)
+(* One push round: every informed vertex, in increasing order (an
+   increasing word scan, so sparse early rounds on a large universe skip
+   empty words; each word is read once before its members push), pushes
+   to one checked neighbour draw; informing applies synchronously after
+   the scan, as in the COBRA round structure. *)
 let push =
   {
     name = "push";
@@ -199,20 +238,18 @@ let push =
           step =
             (fun rng ->
               Dstruct.Intvec.clear newly;
-              Bitset.iter
-                (fun u ->
-                  incr transmissions;
+              let words = informed.Bitset.words in
+              for wi = 0 to Array.length words - 1 do
+                let cell = ref (Array.unsafe_get words wi) in
+                while !cell <> 0 do
+                  let u = member_at wi (ctz !cell) in
                   let w = Graph.View.random_neighbour g rng u in
-                  if not (Bitset.unsafe_mem informed w) then
-                    Dstruct.Intvec.push newly w)
-                informed;
-              Dstruct.Intvec.iter
-                (fun w ->
-                  if not (Bitset.unsafe_mem informed w) then begin
-                    Bitset.unsafe_add informed w;
-                    incr count
-                  end)
-                newly;
+                  if not (mem_word words w) then Dstruct.Intvec.push newly w;
+                  cell := !cell land (!cell - 1)
+                done
+              done;
+              transmissions := !transmissions + !count;
+              count := !count + absorb words newly;
               incr rounds);
           is_complete = (fun () -> !count = n);
           rounds = (fun () -> !rounds);
@@ -246,20 +283,15 @@ let pull =
           step =
             (fun rng ->
               Dstruct.Intvec.clear newly;
+              let words = informed.Bitset.words in
               for u = 0 to n - 1 do
-                if not (Bitset.mem informed u) then begin
-                  incr transmissions;
+                if not (mem_word words u) then begin
                   let w = Graph.View.random_neighbour g rng u in
-                  if Bitset.unsafe_mem informed w then Dstruct.Intvec.push newly u
+                  if mem_word words w then Dstruct.Intvec.push newly u
                 end
               done;
-              Dstruct.Intvec.iter
-                (fun w ->
-                  if not (Bitset.unsafe_mem informed w) then begin
-                    Bitset.unsafe_add informed w;
-                    incr count
-                  end)
-                newly;
+              transmissions := !transmissions + (n - !count);
+              count := !count + absorb words newly;
               incr rounds);
           is_complete = (fun () -> !count = n);
           rounds = (fun () -> !rounds);
@@ -275,7 +307,7 @@ let pull =
 
 (* One push-pull round: every vertex contacts one random neighbour in
    increasing order and information crosses the contact both ways; the
-   newly informed apply synchronously, in list-prepend order. *)
+   newly informed apply synchronously after the scan. *)
 let push_pull =
   {
     name = "push-pull";
@@ -288,25 +320,21 @@ let push_pull =
           invalid_arg "Kernel.push_pull: start out of range";
         let informed = Bitset.create n in
         Bitset.add informed params.start;
+        let newly = Dstruct.Intvec.create ~capacity:64 () in
         let count = ref 1 and rounds = ref 0 and transmissions = ref 0 in
         {
           step =
             (fun rng ->
-              let newly = ref [] in
+              Dstruct.Intvec.clear newly;
+              let words = informed.Bitset.words in
               for u = 0 to n - 1 do
-                incr transmissions;
                 let w = Graph.View.random_neighbour g rng u in
-                let iu = Bitset.mem informed u and iw = Bitset.mem informed w in
-                if iu && not iw then newly := w :: !newly
-                else if iw && not iu then newly := u :: !newly
+                let iu = mem_word words u and iw = mem_word words w in
+                if iu && not iw then Dstruct.Intvec.push newly w
+                else if iw && not iu then Dstruct.Intvec.push newly u
               done;
-              List.iter
-                (fun w ->
-                  if not (Bitset.mem informed w) then begin
-                    Bitset.add informed w;
-                    incr count
-                  end)
-                !newly;
+              transmissions := !transmissions + n;
+              count := !count + absorb words newly;
               incr rounds);
           is_complete = (fun () -> !count = n);
           rounds = (fun () -> !rounds);

@@ -29,6 +29,15 @@ module Lanemat = Dstruct.Lanemat
 let full = 0xFFFFFFFF
 let fi = float_of_int
 
+(* [Lanemat]'s row layout, written once for this module: row [v]'s lanes
+   0..31 are [cells.(2 * v)] ("lo"), lanes 32..63 [cells.(2 * v + 1)]
+   ("hi"). The pickers and steppers read and write rows through these,
+   which inline within the module; a [Lanemat] call would not. *)
+let[@inline] row_lo (cells : int array) v = Array.unsafe_get cells (2 * v)
+let[@inline] row_hi (cells : int array) v = Array.unsafe_get cells ((2 * v) + 1)
+let[@inline] set_row_lo (cells : int array) v x = Array.unsafe_set cells (2 * v) x
+let[@inline] set_row_hi (cells : int array) v x = Array.unsafe_set cells ((2 * v) + 1) x
+
 (* Trailing-zero count of a 32-bit cell, for walking set lane bits. *)
 let ctz x =
   let x = (x land -x) - 1 in
@@ -54,15 +63,28 @@ type t = {
 (* Sliced neighbour picks                                              *)
 
 module Slice = struct
+  (* The result cells of the last mask-producing call, read in place by
+     the steppers. *)
+  type cells = {
+    mutable lo : int;
+    mutable hi : int;
+    mutable and_lo : int;
+    mutable and_hi : int;
+  }
+
   type picker = {
     graph : Graph.View.t;
     branching : Branching.t option; (* None: single uniform pick (push) *)
+    nb : int array; (* the gathered vertex's neighbours, ascending *)
+    clo : int array; (* their member cells, zero-padded to [1 lsl nbits] *)
+    chi : int array;
+    mutable deg : int; (* the gathered vertex's degree *)
+    mutable nbits : int; (* [Prng.Lanes.bits_for deg] *)
     lp : int array; (* index bit-planes of the last draw, lo block *)
     hp : int array;
-    glo : int array; (* mux-gather scratch, one cell per padded index *)
+    glo : int array; (* mux / demux scratch, one cell per padded index *)
     ghi : int array;
-    mutable lo : int; (* result cells of the last mask-producing call *)
-    mutable hi : int;
+    out : cells;
   }
 
   let supported = function
@@ -76,183 +98,193 @@ module Slice = struct
     | Some b when not (supported b) ->
       invalid_arg "Lanes: Distinct branching has no sliced stepper"
     | _ -> ());
-    let nbits_max = Prng.Lanes.bits_for (max 1 (Graph.View.max_degree graph)) in
+    let max_deg = max 1 (Graph.View.max_degree graph) in
+    let nbits_max = Prng.Lanes.bits_for max_deg in
+    let width = 1 lsl nbits_max in
     {
       graph;
       branching;
+      nb = Array.make max_deg 0;
+      clo = Array.make width 0;
+      chi = Array.make width 0;
+      deg = 0;
+      nbits = 0;
       lp = Array.make (max 1 nbits_max) 0;
       hp = Array.make (max 1 nbits_max) 0;
-      glo = Array.make (1 lsl nbits_max) 0;
-      ghi = Array.make (1 lsl nbits_max) 0;
-      lo = 0;
-      hi = 0;
+      glo = Array.make width 0;
+      ghi = Array.make width 0;
+      out = { lo = 0; hi = 0; and_lo = 0; and_hi = 0 };
     }
 
   let picker graph branching = make graph (Some branching)
   let single_picker graph = make graph None
-  let lo p = p.lo
-  let hi p = p.hi
+  let cells p = p.out
 
-  (* OR of [members]'s cells over [v]'s neighbourhood, into [lo]/[hi]:
-     bit [j] set iff some neighbour of [v] is occupied in lane [j]. The
-     draw-free pre-test behind every skip decision. *)
-  let nb_or p members ~v =
-    let g = p.graph in
-    let deg = Graph.View.unsafe_degree g v in
-    let acc_lo = ref 0 and acc_hi = ref 0 in
-    for d = 0 to deg - 1 do
-      let w = Graph.View.unsafe_nth_neighbour g v d in
-      acc_lo := !acc_lo lor Lanemat.unsafe_lo members w;
-      acc_hi := !acc_hi lor Lanemat.unsafe_hi members w
-    done;
-    p.lo <- !acc_lo;
-    p.hi <- !acc_hi
+  (* [v]'s neighbour ids, copied once by one [Graph.View] call for all
+     of [scatter]'s picks at [v]. *)
+  let gather_ids p ~v =
+    let deg = Graph.View.unsafe_neighbours_into p.graph v p.nb in
+    if deg = 0 then invalid_arg "Lanes: isolated vertex";
+    p.deg <- deg;
+    p.nbits <- Prng.Lanes.bits_for deg
 
-  (* Fused OR and AND over [v]'s neighbourhood: [lo]/[hi] get the OR,
-     the returned pair is the AND. A lane where the AND holds has every
-     neighbour occupied, so any pick hits — deterministically, no draw
-     needed; a lane where the OR fails cannot hit. The draw is only
-     required for lanes strictly in between, which is what lets the
+  (* Fused OR and AND over [v]'s neighbourhood, with the neighbours'
+     [members] cells gathered into [clo]/[chi] for the picks: [lo]/[hi]
+     get the OR, [and_lo]/[and_hi] the AND. A lane where the AND holds
+     has every neighbour occupied, so any pick hits — deterministically,
+     no draw needed; a lane where the OR fails cannot hit. The draw is
+     only required for lanes strictly in between, which is what lets the
      steppers skip whole pick rounds once neighbourhoods saturate. *)
-  let nb_or_and p members ~v =
-    let g = p.graph in
-    let deg = Graph.View.unsafe_degree g v in
+  let nb_or_and p (members : Lanemat.t) ~v =
+    let deg = Graph.View.unsafe_neighbours_into p.graph v p.nb in
+    let nb = p.nb and clo = p.clo and chi = p.chi and cells = members.cells in
     let or_lo = ref 0 and or_hi = ref 0 in
     let and_lo = ref full and and_hi = ref full in
     for d = 0 to deg - 1 do
-      let w = Graph.View.unsafe_nth_neighbour g v d in
-      let mlo = Lanemat.unsafe_lo members w in
-      let mhi = Lanemat.unsafe_hi members w in
+      let w = Array.unsafe_get nb d in
+      let mlo = row_lo cells w and mhi = row_hi cells w in
+      Array.unsafe_set clo d mlo;
+      Array.unsafe_set chi d mhi;
       or_lo := !or_lo lor mlo;
       or_hi := !or_hi lor mhi;
       and_lo := !and_lo land mlo;
       and_hi := !and_hi land mhi
     done;
-    p.lo <- !or_lo;
-    p.hi <- !or_hi;
-    (!and_lo, !and_hi)
-
-  (* Mux-gather: with the index bit-planes of one uniform pick in
-     [lp]/[hp] and the scratch arrays holding one cell per padded
-     index, fold the tree in half once per bit (LSB first); cell 0 ends
-     up holding, in lane [j], the scratch value of lane [j]'s chosen
-     index. *)
-  let mux p ~nbits =
-    let width = ref (1 lsl nbits) in
-    for b = 0 to nbits - 1 do
-      let pl = p.lp.(b) and ph = p.hp.(b) in
-      width := !width lsr 1;
-      for i = 0 to !width - 1 do
-        p.glo.(i) <-
-          (p.glo.(2 * i) land lnot pl) lor (p.glo.((2 * i) + 1) land pl);
-        p.ghi.(i) <-
-          (p.ghi.(2 * i) land lnot ph) lor (p.ghi.((2 * i) + 1) land ph)
-      done
-    done
-
-  (* One uniform pick for every lane at once: bit [j] of the result is
-     lane [j]'s chosen neighbour's membership in [members]. *)
-  let pick_member p gen members ~v ~deg ~nbits =
-    let g = p.graph in
-    Prng.Lanes.uniform_planes gen ~bound:deg ~nbits ~lo:p.lp ~hi:p.hp;
-    for d = 0 to deg - 1 do
-      let w = Graph.View.unsafe_nth_neighbour g v d in
-      p.glo.(d) <- Lanemat.unsafe_lo members w;
-      p.ghi.(d) <- Lanemat.unsafe_hi members w
-    done;
     (* Rejection guarantees every lane's index is < deg, so the padding
        cells are never selected; zero keeps the fold cheap. *)
+    let nbits = Prng.Lanes.bits_for deg in
     for d = deg to (1 lsl nbits) - 1 do
-      p.glo.(d) <- 0;
-      p.ghi.(d) <- 0
+      Array.unsafe_set clo d 0;
+      Array.unsafe_set chi d 0
     done;
-    mux p ~nbits
+    p.deg <- deg;
+    p.nbits <- nbits;
+    p.out.lo <- !or_lo;
+    p.out.hi <- !or_hi;
+    p.out.and_lo <- !and_lo;
+    p.out.and_hi <- !and_hi
+
+  (* One uniform pick for every lane at once from the gathered
+     neighbourhood: draw the index planes, then mux-gather — fold the
+     tree of gathered cells in half once per bit (LSB first), the first
+     fold reading [clo]/[chi] so they survive for the next pick. Leaves
+     bit [j] of the result (lane [j]'s chosen neighbour's membership)
+     in [out.lo]/[out.hi]. *)
+  let pick_member p gen =
+    let nbits = p.nbits in
+    Prng.Lanes.uniform_planes gen ~bound:p.deg ~nbits ~lo:p.lp ~hi:p.hp;
+    if nbits = 0 then begin
+      p.out.lo <- Array.unsafe_get p.clo 0;
+      p.out.hi <- Array.unsafe_get p.chi 0
+    end
+    else begin
+      let clo = p.clo and chi = p.chi and glo = p.glo and ghi = p.ghi in
+      let pl = Array.unsafe_get p.lp 0 and ph = Array.unsafe_get p.hp 0 in
+      for i = 0 to (1 lsl (nbits - 1)) - 1 do
+        Array.unsafe_set glo i
+          ((Array.unsafe_get clo (2 * i) land lnot pl)
+          lor (Array.unsafe_get clo ((2 * i) + 1) land pl));
+        Array.unsafe_set ghi i
+          ((Array.unsafe_get chi (2 * i) land lnot ph)
+          lor (Array.unsafe_get chi ((2 * i) + 1) land ph))
+      done;
+      for b = 1 to nbits - 1 do
+        let pl = Array.unsafe_get p.lp b and ph = Array.unsafe_get p.hp b in
+        for i = 0 to (1 lsl (nbits - 1 - b)) - 1 do
+          Array.unsafe_set glo i
+            ((Array.unsafe_get glo (2 * i) land lnot pl)
+            lor (Array.unsafe_get glo ((2 * i) + 1) land pl));
+          Array.unsafe_set ghi i
+            ((Array.unsafe_get ghi (2 * i) land lnot ph)
+            lor (Array.unsafe_get ghi ((2 * i) + 1) land ph))
+        done
+      done;
+      p.out.lo <- Array.unsafe_get glo 0;
+      p.out.hi <- Array.unsafe_get ghi 0
+    end
 
   (* Per-lane hit mask of one full branching draw: bit [j] set iff at
      least one of lane [j]'s picks from [v]'s neighbourhood lands in
-     [members] — the sliced core of the BIPS / SIS exposure rule. *)
-  let hit p gen members ~v =
-    let deg = Graph.View.unsafe_degree p.graph v in
-    if deg = 0 then invalid_arg "Lanes: isolated vertex";
-    let nbits = Prng.Lanes.bits_for deg in
+     [members] — the sliced core of the BIPS / SIS exposure rule. Picks
+     from the cells the preceding [nb_or_and] gathered. *)
+  let hit p gen =
+    if p.deg = 0 then invalid_arg "Lanes: isolated vertex";
     match p.branching with
-    | None | Some (Branching.Fixed 1) ->
-      pick_member p gen members ~v ~deg ~nbits;
-      p.lo <- p.glo.(0);
-      p.hi <- p.ghi.(0)
+    | None | Some (Branching.Fixed 1) -> pick_member p gen
     | Some (Branching.Fixed k) ->
       let acc_lo = ref 0 and acc_hi = ref 0 in
       for _ = 1 to k do
-        pick_member p gen members ~v ~deg ~nbits;
-        acc_lo := !acc_lo lor p.glo.(0);
-        acc_hi := !acc_hi lor p.ghi.(0)
+        pick_member p gen;
+        acc_lo := !acc_lo lor p.out.lo;
+        acc_hi := !acc_hi lor p.out.hi
       done;
-      p.lo <- !acc_lo;
-      p.hi <- !acc_hi
+      p.out.lo <- !acc_lo;
+      p.out.hi <- !acc_hi
     | Some (Branching.One_plus rho) ->
       Prng.Lanes.bernoulli gen rho;
       let two_lo = Prng.Lanes.lo gen and two_hi = Prng.Lanes.hi gen in
-      pick_member p gen members ~v ~deg ~nbits;
-      let acc_lo = ref p.glo.(0) and acc_hi = ref p.ghi.(0) in
+      pick_member p gen;
       (* The second pick exists only in the lanes whose 1+rho coin came
          up 2; draw it once for all of them, skip it when none did. *)
       if two_lo lor two_hi <> 0 then begin
-        pick_member p gen members ~v ~deg ~nbits;
-        acc_lo := !acc_lo lor (p.glo.(0) land two_lo);
-        acc_hi := !acc_hi lor (p.ghi.(0) land two_hi)
-      end;
-      p.lo <- !acc_lo;
-      p.hi <- !acc_hi
+        let first_lo = p.out.lo and first_hi = p.out.hi in
+        pick_member p gen;
+        p.out.lo <- first_lo lor (p.out.lo land two_lo);
+        p.out.hi <- first_hi lor (p.out.hi land two_hi)
+      end
     | Some (Branching.Distinct _) ->
       invalid_arg "Lanes: Distinct branching has no sliced stepper"
 
-  (* One uniform pick scattered forward: for every lane [j] in [base],
-     lane [j]'s chosen neighbour of [v] gains lane [j] in [into]. The
-     equality-to-constant comparator narrows [base] one index bit-plane
-     at a time, so the cost is [deg * nbits] words. *)
-  let scatter_one p gen ~v ~base_lo ~base_hi ~into =
-    let g = p.graph in
-    let deg = Graph.View.unsafe_degree g v in
-    if deg = 0 then invalid_arg "Lanes: isolated vertex";
-    let nbits = Prng.Lanes.bits_for deg in
-    Prng.Lanes.uniform_planes gen ~bound:deg ~nbits ~lo:p.lp ~hi:p.hp;
-    for d = 0 to deg - 1 do
-      let eq_lo = ref base_lo and eq_hi = ref base_hi in
-      for b = 0 to nbits - 1 do
-        if (d lsr b) land 1 = 1 then begin
-          eq_lo := !eq_lo land p.lp.(b);
-          eq_hi := !eq_hi land p.hp.(b)
-        end
-        else begin
-          eq_lo := !eq_lo land lnot p.lp.(b);
-          eq_hi := !eq_hi land lnot p.hp.(b)
-        end
-      done;
-      if !eq_lo lor !eq_hi <> 0 then begin
-        let w = Graph.View.unsafe_nth_neighbour g v d in
-        Lanemat.unsafe_set_lo into w (Lanemat.unsafe_lo into w lor !eq_lo);
-        Lanemat.unsafe_set_hi into w (Lanemat.unsafe_hi into w lor !eq_hi)
+  (* One uniform pick scattered forward from the gathered neighbourhood:
+     for every lane [j] in [base], lane [j]'s chosen neighbour of [v]
+     gains lane [j] in [into]. The demux tree splits [base] by one index
+     bit-plane per level (MSB first), so leaf [d] holds the lanes whose
+     index is [d]: [2 * (1 lsl nbits)] words, then one OR per hit
+     neighbour. *)
+  let scatter_one p gen ~base_lo ~base_hi (into : int array) =
+    let nbits = p.nbits in
+    Prng.Lanes.uniform_planes gen ~bound:p.deg ~nbits ~lo:p.lp ~hi:p.hp;
+    let glo = p.glo and ghi = p.ghi in
+    Array.unsafe_set glo 0 base_lo;
+    Array.unsafe_set ghi 0 base_hi;
+    for b = nbits - 1 downto 0 do
+      let pl = Array.unsafe_get p.lp b and ph = Array.unsafe_get p.hp b in
+      for i = (1 lsl (nbits - 1 - b)) - 1 downto 0 do
+        let xl = Array.unsafe_get glo i and xh = Array.unsafe_get ghi i in
+        Array.unsafe_set glo ((2 * i) + 1) (xl land pl);
+        Array.unsafe_set glo (2 * i) (xl land lnot pl);
+        Array.unsafe_set ghi ((2 * i) + 1) (xh land ph);
+        Array.unsafe_set ghi (2 * i) (xh land lnot ph)
+      done
+    done;
+    let nb = p.nb in
+    for d = 0 to p.deg - 1 do
+      let el = Array.unsafe_get glo d and eh = Array.unsafe_get ghi d in
+      if el lor eh <> 0 then begin
+        let w = Array.unsafe_get nb d in
+        set_row_lo into w (row_lo into w lor el);
+        set_row_hi into w (row_hi into w lor eh)
       end
     done
 
   (* One full branching draw scattered forward (COBRA's per-frontier
      transmissions): [base] lanes each push to [draws] chosen
-     neighbours. *)
-  let scatter p gen ~v ~base_lo ~base_hi ~into =
+     neighbours. [v]'s neighbourhood is read once, for every pick. *)
+  let scatter p gen ~v ~base_lo ~base_hi ~(into : Lanemat.t) =
+    gather_ids p ~v;
+    let into = into.cells in
     match p.branching with
-    | None | Some (Branching.Fixed 1) ->
-      scatter_one p gen ~v ~base_lo ~base_hi ~into
+    | None | Some (Branching.Fixed 1) -> scatter_one p gen ~base_lo ~base_hi into
     | Some (Branching.Fixed k) ->
       for _ = 1 to k do
-        scatter_one p gen ~v ~base_lo ~base_hi ~into
+        scatter_one p gen ~base_lo ~base_hi into
       done
     | Some (Branching.One_plus rho) ->
       Prng.Lanes.bernoulli gen rho;
       let two_lo = Prng.Lanes.lo gen land base_lo in
       let two_hi = Prng.Lanes.hi gen land base_hi in
-      scatter_one p gen ~v ~base_lo ~base_hi ~into;
-      if two_lo lor two_hi <> 0 then
-        scatter_one p gen ~v ~base_lo:two_lo ~base_hi:two_hi ~into
+      scatter_one p gen ~base_lo ~base_hi into;
+      if two_lo lor two_hi <> 0 then scatter_one p gen ~base_lo:two_lo ~base_hi:two_hi into
     | Some (Branching.Distinct _) ->
       invalid_arg "Lanes: Distinct branching has no sliced stepper"
 end
@@ -328,11 +360,13 @@ let bips =
         Lanemat.unsafe_set_lo !cur source full;
         Lanemat.unsafe_set_hi !cur source full;
         let picker = Slice.picker g params.Kernel.branching in
+        let out = Slice.cells picker in
         let sat = ref (Lanemat.fold_and !cur) in
         let counts = ref None in
         {
           step =
             (fun ~live_lo ~live_hi ->
+              let cc = !cur.cells and nc = !nxt.cells in
               let sat_lo = ref full and sat_hi = ref full in
               for u = 0 to n - 1 do
                 let hit_lo = ref full and hit_hi = ref full in
@@ -343,27 +377,26 @@ let bips =
                      so once neighbourhoods saturate whole rounds of
                      draws are elided (distribution unchanged: skipped
                      draws are fresh bits with a deterministic outcome). *)
-                  let and_lo, and_hi = Slice.nb_or_and picker !cur ~v:u in
+                  Slice.nb_or_and picker !cur ~v:u;
                   if
-                    (Slice.lo picker land lnot and_lo land live_lo)
-                    lor (Slice.hi picker land lnot and_hi land live_hi)
+                    (out.lo land lnot out.and_lo land live_lo)
+                    lor (out.hi land lnot out.and_hi land live_hi)
                     = 0
                   then begin
-                    hit_lo := and_lo;
-                    hit_hi := and_hi
+                    hit_lo := out.and_lo;
+                    hit_hi := out.and_hi
                   end
                   else begin
-                    Slice.hit picker gen !cur ~v:u;
-                    hit_lo := Slice.lo picker;
-                    hit_hi := Slice.hi picker
+                    Slice.hit picker gen;
+                    hit_lo := out.lo;
+                    hit_hi := out.hi
                   end
                 end;
-                let old_lo = Lanemat.unsafe_lo !cur u in
-                let old_hi = Lanemat.unsafe_hi !cur u in
+                let old_lo = row_lo cc u and old_hi = row_hi cc u in
                 let new_lo = (!hit_lo land live_lo) lor (old_lo land lnot live_lo) in
                 let new_hi = (!hit_hi land live_hi) lor (old_hi land lnot live_hi) in
-                Lanemat.unsafe_set_lo !nxt u new_lo;
-                Lanemat.unsafe_set_hi !nxt u new_hi;
+                set_row_lo nc u new_lo;
+                set_row_hi nc u new_hi;
                 sat_lo := !sat_lo land new_lo;
                 sat_hi := !sat_hi land new_hi
               done;
@@ -417,9 +450,11 @@ let cobra =
           step =
             (fun ~live_lo ~live_hi ->
               Lanemat.clear !nxt;
+              let fc = !frontier.cells and nc = !nxt.cells in
+              let vc = visited.cells in
               for v = 0 to n - 1 do
-                let base_lo = Lanemat.unsafe_lo !frontier v land live_lo in
-                let base_hi = Lanemat.unsafe_hi !frontier v land live_hi in
+                let base_lo = row_lo fc v land live_lo in
+                let base_hi = row_hi fc v land live_hi in
                 if base_lo lor base_hi <> 0 then
                   Slice.scatter picker gen ~v ~base_lo ~base_hi ~into:!nxt
               done;
@@ -428,20 +463,13 @@ let cobra =
                 (* Frozen lanes keep their frontier; live lanes take the
                    scattered picks. Visited absorbs the new frontier
                    (frozen rows are already subsets of visited). *)
-                let f_lo =
-                  (Lanemat.unsafe_lo !nxt v land live_lo)
-                  lor (Lanemat.unsafe_lo !frontier v land lnot live_lo)
-                in
-                let f_hi =
-                  (Lanemat.unsafe_hi !nxt v land live_hi)
-                  lor (Lanemat.unsafe_hi !frontier v land lnot live_hi)
-                in
-                Lanemat.unsafe_set_lo !nxt v f_lo;
-                Lanemat.unsafe_set_hi !nxt v f_hi;
-                let vis_lo = Lanemat.unsafe_lo visited v lor f_lo in
-                let vis_hi = Lanemat.unsafe_hi visited v lor f_hi in
-                Lanemat.unsafe_set_lo visited v vis_lo;
-                Lanemat.unsafe_set_hi visited v vis_hi;
+                let f_lo = (row_lo nc v land live_lo) lor (row_lo fc v land lnot live_lo) in
+                let f_hi = (row_hi nc v land live_hi) lor (row_hi fc v land lnot live_hi) in
+                set_row_lo nc v f_lo;
+                set_row_hi nc v f_hi;
+                let vis_lo = row_lo vc v lor f_lo and vis_hi = row_hi vc v lor f_hi in
+                set_row_lo vc v vis_lo;
+                set_row_hi vc v vis_hi;
                 cov_lo := !cov_lo land vis_lo;
                 cov_hi := !cov_hi land vis_hi
               done;
@@ -498,24 +526,19 @@ let push =
           step =
             (fun ~live_lo ~live_hi ->
               Lanemat.clear newly;
+              let ic = informed.cells and nc = newly.cells in
               for u = 0 to n - 1 do
-                let base_lo = Lanemat.unsafe_lo informed u land live_lo in
-                let base_hi = Lanemat.unsafe_hi informed u land live_hi in
+                let base_lo = row_lo ic u land live_lo in
+                let base_hi = row_hi ic u land live_hi in
                 if base_lo lor base_hi <> 0 then
                   Slice.scatter picker gen ~v:u ~base_lo ~base_hi ~into:newly
               done;
               let all_lo = ref full and all_hi = ref full in
               for u = 0 to n - 1 do
-                let i_lo =
-                  Lanemat.unsafe_lo informed u
-                  lor (Lanemat.unsafe_lo newly u land live_lo)
-                in
-                let i_hi =
-                  Lanemat.unsafe_hi informed u
-                  lor (Lanemat.unsafe_hi newly u land live_hi)
-                in
-                Lanemat.unsafe_set_lo informed u i_lo;
-                Lanemat.unsafe_set_hi informed u i_hi;
+                let i_lo = row_lo ic u lor (row_lo nc u land live_lo) in
+                let i_hi = row_hi ic u lor (row_hi nc u land live_hi) in
+                set_row_lo ic u i_lo;
+                set_row_hi ic u i_hi;
                 all_lo := !all_lo land i_lo;
                 all_hi := !all_hi land i_hi
               done;

@@ -79,10 +79,33 @@ val find : string -> t option
     The word-parallel neighbour-pick primitives the steppers above are
     built from, exported so sliced steppers in downstream libraries
     ([Epidemic.Lanes]) reuse them. A [picker] owns the per-graph
-    scratch (index bit-planes, mux-gather tree); mask-producing calls
-    leave their result in the [lo]/[hi] accessors. *)
+    scratch (the gathered neighbourhood, index bit-planes, mux and
+    demux trees); mask-producing calls leave their result in the
+    picker's {!cells}, which a stepper reads in place.
+
+    {b Gather once.} {!nb_or_and} and {!scatter} read a vertex's
+    neighbourhood once, with one {!Graph.View.unsafe_neighbours_into}
+    call (one backend dispatch, and on the CSR backends no call per
+    neighbour), and copy the neighbours' member cells. Every pick at
+    that vertex then works from those copies: {!hit} muxes from the
+    cells the preceding {!nb_or_and} gathered, and {!scatter}'s picks
+    demux into the neighbours it gathered. The draws
+    ({!Prng.Lanes.uniform_planes} per pick, one
+    {!Prng.Lanes.bernoulli} per [1+rho] round), and so every lane's
+    outcome, do not depend on how the neighbourhood is read; test/sweep
+    pins them per trial. *)
 module Slice : sig
   type picker
+
+  (** The result cells of the last mask-producing call, as [(lo, hi)]
+      halves: [lo]/[hi] hold {!nb_or_and}'s OR or {!hit}'s hit mask,
+      [and_lo]/[and_hi] {!nb_or_and}'s AND. Read-only outside. *)
+  type cells = private {
+    mutable lo : int;
+    mutable hi : int;
+    mutable and_lo : int;
+    mutable and_hi : int;
+  }
 
   (** [picker g branching] prepares sliced branching picks on [g];
       raises [Invalid_argument] for [Distinct] branching (use
@@ -95,35 +118,33 @@ module Slice : sig
 
   val supported : Branching.t -> bool
 
-  val lo : picker -> int
+  (** [cells p] is [p]'s result record, the same value for [p]'s whole
+      life: a stepper fetches it once and reads it after each call. *)
+  val cells : picker -> cells
 
-  val hi : picker -> int
+  (** [nb_or_and p members ~v] gathers [v]'s neighbourhood and
+      [members]'s cells over it, and leaves their OR in [lo]/[hi] (bit
+      [j] set iff some neighbour of [v] is occupied in lane [j]) and
+      their AND in [and_lo]/[and_hi] (bit [j] set iff {e every}
+      neighbour is). Draw-free. AND-lanes hit deterministically and
+      OR-free lanes miss deterministically, so a stepper only needs a
+      {!hit} draw when some live lane sits strictly in between — the
+      skip that keeps saturated neighbourhoods from burning pick
+      draws. *)
+  val nb_or_and : picker -> Dstruct.Lanemat.t -> v:int -> unit
 
-  (** [nb_or p members ~v] ORs [members]'s cells over [v]'s
-      neighbourhood into [lo]/[hi]: bit [j] set iff some neighbour of
-      [v] is occupied in lane [j]. Draw-free — the pre-test behind
-      every skip decision. *)
-  val nb_or : picker -> Dstruct.Lanemat.t -> v:int -> unit
+  (** [hit p gen] draws one full branching round of picks from the
+      neighbourhood the last {!nb_or_and} gathered, for every
+      lane at once; bit [j] of [lo]/[hi] is set iff at least one of
+      lane [j]'s picks lands in the gathered [members] — the BIPS / SIS
+      exposure rule. Raises [Invalid_argument] if that vertex is
+      isolated. *)
+  val hit : picker -> Prng.Lanes.t -> unit
 
-  (** [nb_or_and p members ~v] is {!nb_or} fused with the matching AND:
-      [lo]/[hi] get the OR and the returned [(and_lo, and_hi)] pair has
-      bit [j] set iff {e every} neighbour of [v] is occupied in lane
-      [j]. AND-lanes hit deterministically and OR-free lanes miss
-      deterministically, so a stepper only needs a {!hit} draw when
-      some live lane sits strictly in between — the skip that keeps
-      saturated neighbourhoods from burning pick draws. *)
-  val nb_or_and : picker -> Dstruct.Lanemat.t -> v:int -> int * int
-
-  (** [hit p gen members ~v] draws one full branching round of picks
-      from [v]'s neighbourhood for every lane at once; bit [j] of
-      [lo]/[hi] is set iff at least one of lane [j]'s picks lands in
-      [members] — the BIPS / SIS exposure rule. *)
-  val hit : picker -> Prng.Lanes.t -> Dstruct.Lanemat.t -> v:int -> unit
-
-  (** [scatter p gen ~v ~base_lo ~base_hi ~into] draws one full
-      branching round of picks from [v] and, for every lane in [base],
-      adds that lane to the chosen neighbours' rows of [into] — the
-      COBRA / push transmission rule. *)
+  (** [scatter p gen ~v ~base_lo ~base_hi ~into] gathers [v]'s
+      neighbourhood, draws one full branching round of picks from it
+      and, for every lane in [base], adds that lane to the chosen
+      neighbours' rows of [into] — the COBRA / push transmission rule. *)
   val scatter :
     picker -> Prng.Lanes.t -> v:int -> base_lo:int -> base_hi:int ->
     into:Dstruct.Lanemat.t -> unit

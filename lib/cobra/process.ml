@@ -9,6 +9,7 @@ type t = {
   mutable in_frontier : Bitset.t; (* membership for [frontier]: O(1) [active] *)
   mutable in_next : Bitset.t; (* membership for [next]; swapped with [in_frontier] *)
   visited : Bitset.t;
+  picks : int array; (* one vertex's picks, [Branching.picks_into]'s buffer *)
   mutable visited_count : int;
   mutable round : int;
   mutable transmissions : int;
@@ -54,6 +55,7 @@ let create g ~branching ~start =
       in_frontier = Bitset.create n;
       in_next = Bitset.create n;
       visited = Bitset.create n;
+      picks = Branching.picks_buffer branching g;
       visited_count = 0;
       round = 0;
       transmissions = 0;
@@ -80,33 +82,56 @@ let visited_count p = p.visited_count
 let is_covered p = p.visited_count = Graph.View.n_vertices p.graph
 let transmissions p = p.transmissions
 
+(* [Bitset]'s layout, written once for the step: member [i] is bit
+   [i land 31] of [words.(i lsr 5)]. [add_new] adds [i] and returns
+   [true] iff it was not a member. *)
+let[@inline] add_new words i =
+  let wi = i lsr 5 and bit = 1 lsl (i land 31) in
+  let cell = Array.unsafe_get words wi in
+  cell land bit = 0
+  &&
+  (Array.unsafe_set words wi (cell lor bit);
+   true)
+
+let[@inline] remove_word words i =
+  let wi = i lsr 5 in
+  Array.unsafe_set words wi (Array.unsafe_get words wi land lnot (1 lsl (i land 31)))
+
+(* The step reads the frontier and the membership bitsets in place
+   (private records): one [Branching.picks_into] call per frontier
+   vertex, then no call per pick. Every [w] comes from the adjacency
+   arrays, so it is in range by construction. *)
 let step p rng =
   let g = p.graph in
-  (* [w] comes from the adjacency array, so it is in range by
-     construction: the unchecked bitset operations are safe. *)
-  let push_pick w =
-    if not (Bitset.unsafe_mem p.in_next w) then begin
-      Bitset.unsafe_add p.in_next w;
-      Intvec.push p.next w;
-      if not (Bitset.unsafe_mem p.visited w) then begin
-        Bitset.unsafe_add p.visited w;
-        p.visited_count <- p.visited_count + 1
+  let picks = p.picks and in_next = p.in_next.Bitset.words in
+  let visited = p.visited.Bitset.words in
+  let frontier = p.frontier.Intvec.data in
+  let visited_count = ref p.visited_count and transmissions = ref p.transmissions in
+  for i = 0 to p.frontier.Intvec.len - 1 do
+    let v = Array.unsafe_get frontier i in
+    let c = Branching.picks_into p.branching rng g v picks in
+    for j = 0 to c - 1 do
+      let w = Array.unsafe_get picks j in
+      if add_new in_next w then begin
+        Intvec.push p.next w;
+        if add_new visited w then incr visited_count
       end
-    end
-  in
-  Intvec.iter
-    (fun v ->
-      let picks = Branching.iter_picks p.branching rng g v ~f:push_pick in
-      p.transmissions <- p.transmissions + picks)
-    p.frontier;
+    done;
+    transmissions := !transmissions + c
+  done;
+  p.visited_count <- !visited_count;
+  p.transmissions <- !transmissions;
   (* Clear the outgoing frontier's membership bits: member-wise while the
      frontier is sparse, whole-array fill once it holds more members than
      words (past that point the word fill writes less memory). Both paths
      leave the bitset empty and draw nothing from [rng]. Then swap both
      the vectors and their membership bitsets, keeping [active] O(1). *)
-  let nw = (Graph.View.n_vertices g + Bitset.word_size - 1) / Bitset.word_size in
-  if Intvec.length p.frontier <= nw then
-    Intvec.iter (fun v -> Bitset.unsafe_remove p.in_frontier v) p.frontier
+  let in_frontier = p.in_frontier.Bitset.words in
+  let len = p.frontier.Intvec.len in
+  if len <= Array.length in_frontier then
+    for i = 0 to len - 1 do
+      remove_word in_frontier (Array.unsafe_get frontier i)
+    done
   else Bitset.clear p.in_frontier;
   let old = p.frontier in
   p.frontier <- p.next;

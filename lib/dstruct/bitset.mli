@@ -3,9 +3,19 @@
     A [Bitset.t] represents a subset of [{0, ..., capacity - 1}]. All
     single-element operations are O(1); whole-set operations are
     O(capacity / word_size). Indices outside [0 .. capacity - 1] raise
-    [Invalid_argument]. *)
+    [Invalid_argument].
 
-type t
+    The record is [private]: a simulation step may test and set members
+    through [words] directly (bit [i land 31] of [words.(i lsr 5)]; see
+    {!word_size}) instead of calling {!unsafe_mem}/{!unsafe_add}, since
+    under dune's [-opaque] dev profile no call across modules is
+    inlined. Bits at or above [n] in the last word stay zero; a writer
+    must keep them so. The modules that rely on this layout, each
+    writing it once as local [@inline] helpers, are [Cobra.Kernel],
+    [Cobra.Process], [Cobra.Bips], [Epidemic.Sis] and [Epidemic.Seir];
+    a layout change must update them too. *)
+
+type t = private { words : int array; n : int }
 
 (** [create n] is the empty subset of [{0, ..., n - 1}]. [n] must be
     non-negative. *)

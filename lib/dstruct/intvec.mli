@@ -1,9 +1,12 @@
 (** Growable arrays of unboxed integers.
 
     Amortised O(1) [push]; O(1) random access. Used as frontier buffers and
-    edge accumulators throughout the simulation engines. *)
+    edge accumulators throughout the simulation engines.
 
-type t
+    [private], so a hot loop can read [data.(0 .. len - 1)] in place;
+    only this module mutates it. *)
+
+type t = private { mutable data : int array; mutable len : int }
 
 (** [create ()] is an empty vector. [capacity] pre-allocates storage. *)
 val create : ?capacity:int -> unit -> t

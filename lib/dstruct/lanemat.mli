@@ -14,7 +14,13 @@
     (completion masks, per-lane counts) are single passes over [2n]
     words. *)
 
-type t
+(** [private], as {!Bitset.t}: a sliced stepper reads and writes row
+    cells through [cells] directly ([cells.(2 * v)] lo, [cells.(2 * v + 1)]
+    hi). A writer must keep every cell within 32 bits. The modules that
+    rely on this layout, each writing it once as local [@inline]
+    helpers, are [Cobra.Lanes] and [Epidemic.Lanes]; a layout change
+    must update them too. *)
+type t = private { cells : int array; n : int }
 
 (** [lanes] is the number of replica lanes per row ([64]). *)
 val lanes : int

@@ -16,6 +16,7 @@ type t = {
   timer : int array; (* rounds remaining in Transient/Immune *)
   infectious : Bitset.t; (* Transient or Persistent, kept in sync *)
   ever : Bitset.t;
+  picks : int array; (* one animal's contacts, [Branching.picks_into]'s buffer *)
   mutable ever_count : int;
   mutable infectious_count : int;
   mutable round : int;
@@ -38,6 +39,7 @@ let create g params ~pi ~index_cases =
       timer = Array.make n 0;
       infectious = Bitset.create n;
       ever = Bitset.create n;
+      picks = Cobra.Branching.picks_buffer params.contacts g;
       ever_count = 0;
       infectious_count = 0;
       round = 0;
@@ -107,9 +109,11 @@ let step h rng =
       h.timer.(v) <- h.timer.(v) - 1;
       if h.timer.(v) = 0 then h.status.(v) <- Susceptible
     | Susceptible ->
+      let c = Cobra.Branching.picks_into h.params.contacts rng g v h.picks in
       let hit = ref false in
-      let check w = if Bitset.mem snapshot w then hit := true in
-      ignore (Cobra.Branching.iter_picks h.params.contacts rng g v ~f:check);
+      for j = 0 to c - 1 do
+        if Bitset.mem snapshot h.picks.(j) then hit := true
+      done;
       if !hit then newly_infected := v :: !newly_infected
   done;
   List.iter

@@ -11,6 +11,14 @@ module Slice = Cobra.Lanes.Slice
 let full = 0xFFFFFFFF
 let fi = float_of_int
 
+(* [Lanemat]'s row layout, written once for the stepper: row [v]'s lanes
+   0..31 are [cells.(2 * v)], lanes 32..63 [cells.(2 * v + 1)]. These
+   inline within the module; a [Lanemat] call would not. *)
+let[@inline] row_lo (cells : int array) v = Array.unsafe_get cells (2 * v)
+let[@inline] row_hi (cells : int array) v = Array.unsafe_get cells ((2 * v) + 1)
+let[@inline] set_row_lo (cells : int array) v x = Array.unsafe_set cells (2 * v) x
+let[@inline] set_row_hi (cells : int array) v x = Array.unsafe_set cells ((2 * v) + 1) x
+
 let sis =
   {
     Cobra.Lanes.name = "sis";
@@ -31,6 +39,7 @@ let sis =
         Lanemat.unsafe_set_lo ever start full;
         Lanemat.unsafe_set_hi ever start full;
         let picker = Slice.picker g params.Cobra.Kernel.branching in
+        let out = Slice.cells picker in
         (* done = extinct OR everyone-ever-infected, per lane. *)
         let mask () =
           let or_lo, or_hi = Lanemat.fold_or !cur in
@@ -44,9 +53,10 @@ let sis =
             (fun ~live_lo ~live_hi ->
               let or_lo = ref 0 and or_hi = ref 0 in
               let evf_lo = ref full and evf_hi = ref full in
+              let cc = !cur.Lanemat.cells and nc = !nxt.Lanemat.cells in
+              let ec = ever.Lanemat.cells in
               for u = 0 to n - 1 do
-                let old_lo = Lanemat.unsafe_lo !cur u in
-                let old_hi = Lanemat.unsafe_hi !cur u in
+                let old_lo = row_lo cc u and old_hi = row_hi cc u in
                 let comp_lo = ref full and comp_hi = ref full in
                 if u <> pers then begin
                   (* Recovery: one Bernoulli mask, applied only to the
@@ -68,34 +78,30 @@ let sis =
                      when some candidate lane sits strictly in between
                      (skipped draws are fresh bits with a deterministic
                      outcome, so the distribution is unchanged). *)
-                  let and_lo, and_hi = Slice.nb_or_and picker !cur ~v:u in
+                  Slice.nb_or_and picker !cur ~v:u;
                   if
-                    (Slice.lo picker land lnot and_lo
-                    land lnot !stays_lo land live_lo)
-                    lor
-                    (Slice.hi picker land lnot and_hi
-                    land lnot !stays_hi land live_hi)
+                    (out.lo land lnot out.and_lo land lnot !stays_lo land live_lo)
+                    lor (out.hi land lnot out.and_hi land lnot !stays_hi land live_hi)
                     = 0
                   then begin
-                    hit_lo := and_lo;
-                    hit_hi := and_hi
+                    hit_lo := out.and_lo;
+                    hit_hi := out.and_hi
                   end
                   else begin
-                    Slice.hit picker gen !cur ~v:u;
-                    hit_lo := Slice.lo picker;
-                    hit_hi := Slice.hi picker
+                    Slice.hit picker gen;
+                    hit_lo := out.lo;
+                    hit_hi := out.hi
                   end;
                   comp_lo := !stays_lo lor !hit_lo;
                   comp_hi := !stays_hi lor !hit_hi
                 end;
                 let new_lo = (!comp_lo land live_lo) lor (old_lo land lnot live_lo) in
                 let new_hi = (!comp_hi land live_hi) lor (old_hi land lnot live_hi) in
-                Lanemat.unsafe_set_lo !nxt u new_lo;
-                Lanemat.unsafe_set_hi !nxt u new_hi;
-                let ev_lo = Lanemat.unsafe_lo ever u lor new_lo in
-                let ev_hi = Lanemat.unsafe_hi ever u lor new_hi in
-                Lanemat.unsafe_set_lo ever u ev_lo;
-                Lanemat.unsafe_set_hi ever u ev_hi;
+                set_row_lo nc u new_lo;
+                set_row_hi nc u new_hi;
+                let ev_lo = row_lo ec u lor new_lo and ev_hi = row_hi ec u lor new_hi in
+                set_row_lo ec u ev_lo;
+                set_row_hi ec u ev_hi;
                 or_lo := !or_lo lor new_lo;
                 or_hi := !or_hi lor new_hi;
                 evf_lo := !evf_lo land ev_lo;

@@ -17,6 +17,9 @@ type t = {
   timer : int array; (* rounds remaining in Exposed/Infectious *)
   gen : int array; (* infection generation; -1 while never infected *)
   infectious : Bitset.t; (* status = Infectious, kept in sync *)
+  snapshot : Bitset.t; (* [infectious] at the start of the current round *)
+  picks : int array; (* one vertex's picks, [Branching.picks_into]'s buffer *)
+  exposures : Dstruct.Intvec.t; (* this round's (vertex, generation) pairs *)
   mutable infectious_count : int;
   mutable exposed_count : int;
   mutable ever_count : int;
@@ -44,6 +47,9 @@ let create g params ~index_cases =
       timer = Array.make n 0;
       gen = Array.make n (-1);
       infectious = Bitset.create n;
+      snapshot = Bitset.create n;
+      picks = Cobra.Branching.picks_buffer params.contacts g;
+      exposures = Dstruct.Intvec.create ();
       infectious_count = 0;
       exposed_count = 0;
       ever_count = 0;
@@ -121,6 +127,11 @@ let expose p v gen =
     p.infectious_count <- p.infectious_count + 1
   end
 
+(* [Bitset]'s layout, written once for the step: member [i] is bit
+   [i land 31] of [words.(i lsr 5)]. *)
+let[@inline] mem_word words i =
+  Array.unsafe_get words (i lsr 5) land (1 lsl (i land 31)) <> 0
+
 let step p rng =
   let g = p.graph in
   let n = Graph.View.n_vertices g in
@@ -129,38 +140,59 @@ let step p rng =
      structure): timers advance first per vertex, susceptibles draw
      against the snapshot in increasing vertex order, and new exposures
      apply after the scan. *)
-  let snapshot = Bitset.copy p.infectious in
-  let newly_exposed = ref [] in
+  Bitset.blit ~src:p.infectious ~dst:p.snapshot;
+  let exposures = p.exposures in
+  Dstruct.Intvec.clear exposures;
+  (* [v] scans [0 .. n-1] and every pick comes from the adjacency
+     arrays, so the unchecked reads are in range by construction. One
+     [Branching.picks_into] call per susceptible vertex, no call per
+     pick. *)
+  let status = p.status and timer = p.timer and gen = p.gen in
+  let snapshot = p.snapshot.Bitset.words and picks = p.picks in
   for v = 0 to n - 1 do
-    match p.status.(v) with
+    match Array.unsafe_get status v with
     | Recovered -> ()
     | Infectious ->
-      p.timer.(v) <- p.timer.(v) - 1;
-      if p.timer.(v) = 0 then begin
-        p.status.(v) <- Recovered;
-        Bitset.remove p.infectious v;
+      let t = Array.unsafe_get timer v - 1 in
+      Array.unsafe_set timer v t;
+      if t = 0 then begin
+        Array.unsafe_set status v Recovered;
+        Bitset.unsafe_remove p.infectious v;
         p.infectious_count <- p.infectious_count - 1
       end
     | Exposed ->
-      p.timer.(v) <- p.timer.(v) - 1;
-      if p.timer.(v) = 0 then begin
-        p.status.(v) <- Infectious;
-        p.timer.(v) <- p.params.infectious_rounds;
+      let t = Array.unsafe_get timer v - 1 in
+      Array.unsafe_set timer v t;
+      if t = 0 then begin
+        Array.unsafe_set status v Infectious;
+        Array.unsafe_set timer v p.params.infectious_rounds;
         p.exposed_count <- p.exposed_count - 1;
-        Bitset.add p.infectious v;
+        Bitset.unsafe_add p.infectious v;
         p.infectious_count <- p.infectious_count + 1
       end
     | Susceptible ->
       (* Attribute the infection to the earliest-generation infectious
          contact drawn this round. *)
+      let c = Cobra.Branching.picks_into p.params.contacts rng g v picks in
       let src = ref max_int in
-      let check w =
-        if Bitset.mem snapshot w && p.gen.(w) < !src then src := p.gen.(w)
-      in
-      ignore (Cobra.Branching.iter_picks p.params.contacts rng g v ~f:check);
-      if !src < max_int then newly_exposed := (v, !src + 1) :: !newly_exposed
+      for j = 0 to c - 1 do
+        let w = Array.unsafe_get picks j in
+        if mem_word snapshot w then begin
+          let gw = Array.unsafe_get gen w in
+          if gw < !src then src := gw
+        end
+      done;
+      if !src < max_int then begin
+        Dstruct.Intvec.push exposures v;
+        Dstruct.Intvec.push exposures (!src + 1)
+      end
   done;
-  List.iter (fun (v, gen) -> expose p v gen) !newly_exposed;
+  (* Exposures commute (each sets its own vertex's state and adds to
+     counters), so they apply in scan order. *)
+  for i = 0 to (Dstruct.Intvec.length exposures / 2) - 1 do
+    expose p (Dstruct.Intvec.unsafe_get exposures (2 * i))
+      (Dstruct.Intvec.unsafe_get exposures ((2 * i) + 1))
+  done;
   if p.infectious_count > p.peak_infectious then
     p.peak_infectious <- p.infectious_count;
   p.round <- p.round + 1

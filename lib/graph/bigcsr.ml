@@ -27,18 +27,6 @@ let n_edges g = Bigarray.Array1.dim g.adjacency / 2
 let get (a : arr) i = Int32.to_int (Bigarray.Array1.unsafe_get a i)
 let set (a : arr) i v = Bigarray.Array1.unsafe_set a i (Int32.of_int v)
 
-let check_vertex g v =
-  if v < 0 || v >= g.n then invalid_arg "Bigcsr: vertex out of range"
-
-let unsafe_degree g v = get g.offsets (v + 1) - get g.offsets v
-
-let unsafe_nth_neighbour g v i = get g.adjacency (get g.offsets v + i)
-
-let unsafe_random_neighbour g rng v =
-  let off = get g.offsets v in
-  let d = get g.offsets (v + 1) - off in
-  get g.adjacency (off + Prng.Rng.int rng d)
-
 let unsafe_iter_neighbours g v ~f =
   for i = get g.offsets v to get g.offsets (v + 1) - 1 do
     f (get g.adjacency i)
@@ -48,26 +36,6 @@ let unsafe_iter_neighbours g v ~f =
    representation (the spectral matvec). *)
 let unsafe_offsets g = g.offsets
 let unsafe_adjacency g = g.adjacency
-
-let degree g v =
-  check_vertex g v;
-  unsafe_degree g v
-
-let nth_neighbour g v i =
-  check_vertex g v;
-  if i < 0 || i >= unsafe_degree g v then
-    invalid_arg "Bigcsr.nth_neighbour: index out of range";
-  unsafe_nth_neighbour g v i
-
-let random_neighbour g rng v =
-  check_vertex g v;
-  if unsafe_degree g v = 0 then
-    invalid_arg "Bigcsr.random_neighbour: isolated vertex";
-  unsafe_random_neighbour g rng v
-
-let iter_neighbours g v ~f =
-  check_vertex g v;
-  unsafe_iter_neighbours g v ~f
 
 let check_capacity ~n ~arcs =
   if n > max_arcs || arcs > max_arcs then

@@ -9,11 +9,16 @@
     tier affordable. Neighbour order is identical to {!Csr}, so RNG draw
     sequences match arc for arc across the two representations. *)
 
-type t
-
 (** The storage element type, exposed for consumers that walk the raw
     arrays (the spectral matvec specialises its inner loop on it). *)
 type arr = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(** [private], as {!Csr.t}, so {!View} reads the arrays directly. *)
+type t = private {
+  n : int;
+  offsets : arr;  (** length [n + 1] *)
+  adjacency : arr;  (** sorted within each vertex's slice *)
+}
 
 (** [of_csr g] copies a heap CSR into off-heap storage. Raises
     [Invalid_argument] if a vertex id or the arc count exceeds the int32
@@ -43,22 +48,10 @@ val of_sorted_arcs :
 
 val n_vertices : t -> int
 val n_edges : t -> int
-val degree : t -> int -> int
-val nth_neighbour : t -> int -> int -> int
-val random_neighbour : t -> Prng.Rng.t -> int -> int
-val iter_neighbours : t -> int -> f:(int -> unit) -> unit
-
-(** Unchecked variants, as in {!Csr}: same results for in-range
-    arguments, undefined behaviour otherwise. *)
-
-val unsafe_degree : t -> int -> int
 
 (** The row-offset array (length [n+1]) and arc array, raw. Read-only by
-    convention. *)
+    convention. Neighbour queries go through {!View}, which reads these
+    arrays itself. *)
 val unsafe_offsets : t -> arr
 
 val unsafe_adjacency : t -> arr
-
-val unsafe_nth_neighbour : t -> int -> int -> int
-val unsafe_random_neighbour : t -> Prng.Rng.t -> int -> int
-val unsafe_iter_neighbours : t -> int -> f:(int -> unit) -> unit

@@ -5,9 +5,19 @@
     representation is two int arrays, so a million-edge graph costs a few
     megabytes and neighbour access is one index. This is the only graph
     type in the repository; every process engine and every generator
-    produces or consumes it. *)
+    produces or consumes it.
 
-type t
+    The record is [private] so that {!View} can read the two arrays in
+    its hot accessors without a call per read; it cannot be built or
+    mutated outside this module. *)
+
+type t = private {
+  n : int;
+  offsets : int array;
+      (** length [n + 1]; [v]'s neighbours sit at
+          [adjacency.(offsets.(v)) .. adjacency.(offsets.(v + 1) - 1)] *)
+  adjacency : int array;  (** sorted within each vertex's slice *)
+}
 
 (** [of_edges ~n edges] builds the graph on [n] vertices with the given
     undirected edges. Raises [Invalid_argument] on out-of-range endpoints,

@@ -1,9 +1,11 @@
 (* The topology abstraction every process engine consumes: one value
    that answers degree / nth-neighbour / iteration queries over any of
    three representations. Accessors dispatch on the representation with
-   a single match — no closure indirection — so the heap-CSR path
-   compiles to the same loads the engines performed when they took
-   [Csr.t] directly, and golden streams are preserved bit for bit.
+   a single match — no closure indirection — and the CSR arms read the
+   arrays in place, so the heap-CSR path compiles to the same loads the
+   engines performed when they took [Csr.t] directly, and golden
+   streams are preserved bit for bit. This is the one module that holds
+   per-backend code; kernels never match on the representation.
 
    The neighbour-order contract is global: every backend enumerates each
    vertex's neighbours in ascending order, so [unsafe_random_neighbour]
@@ -49,11 +51,13 @@ let of_csr g =
   { repr = Heap g; n; m = Csr.n_edges g;
     min_deg = Csr.min_degree g; max_deg = Csr.max_degree g }
 
+let[@inline] big (a : Bigcsr.arr) i = Int32.to_int (Bigarray.Array1.unsafe_get a i)
+
 let of_bigcsr g =
   let n = Bigcsr.n_vertices g in
   let min_deg = ref (if n = 0 then 0 else max_int) and max_deg = ref 0 in
   for v = 0 to n - 1 do
-    let d = Bigcsr.unsafe_degree g v in
+    let d = big g.offsets (v + 1) - big g.offsets v in
     if d < !min_deg then min_deg := d;
     if d > !max_deg then max_deg := d
   done;
@@ -80,22 +84,35 @@ let regularity t =
 
 (* ---------- unchecked accessors (simulation inner loops) ---------- *)
 
-let unsafe_degree t v =
+(* The heap and bigarray arms read the CSR arrays themselves ([Csr.t]
+   and [Bigcsr.t] are private records): every module is compiled
+   [-opaque] under dune's dev profile, so a call into [Csr] or [Bigcsr]
+   would be an indirect call that is never inlined. On those backends
+   these accessors make no call beyond [unsafe_random_neighbour]'s one
+   [Prng.Rng.int] draw. *)
+
+let[@inline] unsafe_degree t v =
   match t.repr with
-  | Heap g -> Csr.unsafe_degree g v
-  | Big g -> Bigcsr.unsafe_degree g v
+  | Heap g -> Array.unsafe_get g.offsets (v + 1) - Array.unsafe_get g.offsets v
+  | Big g -> big g.offsets (v + 1) - big g.offsets v
   | Implicit g -> Implicit.degree g v
 
-let unsafe_nth_neighbour t v i =
+let[@inline] unsafe_nth_neighbour t v i =
   match t.repr with
-  | Heap g -> Csr.unsafe_nth_neighbour g v i
-  | Big g -> Bigcsr.unsafe_nth_neighbour g v i
+  | Heap g -> Array.unsafe_get g.adjacency (Array.unsafe_get g.offsets v + i)
+  | Big g -> big g.adjacency (big g.offsets v + i)
   | Implicit g -> Implicit.nth g v i
 
-let unsafe_random_neighbour t rng v =
+let[@inline] unsafe_random_neighbour t rng v =
   match t.repr with
-  | Heap g -> Csr.unsafe_random_neighbour g rng v
-  | Big g -> Bigcsr.unsafe_random_neighbour g rng v
+  | Heap g ->
+    let off = Array.unsafe_get g.offsets v in
+    let d = Array.unsafe_get g.offsets (v + 1) - off in
+    Array.unsafe_get g.adjacency (off + Prng.Rng.int rng d)
+  | Big g ->
+    let off = big g.offsets v in
+    let d = big g.offsets (v + 1) - off in
+    big g.adjacency (off + Prng.Rng.int rng d)
   | Implicit g ->
     (* Same single draw as the CSR paths; ascending order makes the
        selected vertex identical. *)
@@ -103,9 +120,43 @@ let unsafe_random_neighbour t rng v =
 
 let unsafe_iter_neighbours t v ~f =
   match t.repr with
-  | Heap g -> Csr.unsafe_iter_neighbours g v ~f
-  | Big g -> Bigcsr.unsafe_iter_neighbours g v ~f
+  | Heap g ->
+    for i = Array.unsafe_get g.offsets v to Array.unsafe_get g.offsets (v + 1) - 1 do
+      f (Array.unsafe_get g.adjacency i)
+    done
+  | Big g ->
+    for i = big g.offsets v to big g.offsets (v + 1) - 1 do
+      f (big g.adjacency i)
+    done
   | Implicit g -> Implicit.iter g v ~f
+
+(* One dispatch, then one copy loop per backend: for consumers that read
+   the whole neighbourhood anyway (the lane engine's gathers). *)
+let unsafe_neighbours_into t v buf =
+  match t.repr with
+  | Heap g ->
+    let off = Array.unsafe_get g.offsets v in
+    let d = Array.unsafe_get g.offsets (v + 1) - off in
+    if d > Array.length buf then invalid_arg "View.unsafe_neighbours_into: buffer too small";
+    for i = 0 to d - 1 do
+      Array.unsafe_set buf i (Array.unsafe_get g.adjacency (off + i))
+    done;
+    d
+  | Big g ->
+    let off = big g.offsets v in
+    let d = big g.offsets (v + 1) - off in
+    if d > Array.length buf then invalid_arg "View.unsafe_neighbours_into: buffer too small";
+    for i = 0 to d - 1 do
+      Array.unsafe_set buf i (big g.adjacency (off + i))
+    done;
+    d
+  | Implicit g ->
+    let d = Implicit.degree g v in
+    if d > Array.length buf then invalid_arg "View.unsafe_neighbours_into: buffer too small";
+    for i = 0 to d - 1 do
+      Array.unsafe_set buf i (Implicit.nth g v i)
+    done;
+    d
 
 (* ---------- checked accessors ---------- *)
 
@@ -138,8 +189,9 @@ let fold_neighbours t v ~init ~f =
 
 let neighbours t v =
   check_vertex t v;
-  let d = unsafe_degree t v in
-  Array.init d (fun i -> unsafe_nth_neighbour t v i)
+  let buf = Array.make (unsafe_degree t v) 0 in
+  ignore (unsafe_neighbours_into t v buf);
+  buf
 
 let mem_edge t u v =
   check_vertex t u;

@@ -70,13 +70,31 @@ val bfs : t -> int -> int array
 (** {1 Unchecked accessors}
 
     As {!Csr}'s: identical results for in-range arguments, undefined
-    behaviour otherwise. These are the simulation inner loops. *)
+    behaviour otherwise. These are the simulation inner loops. On the
+    heap and bigarray backends they read the CSR arrays in place and
+    make no call except {!unsafe_random_neighbour}'s one
+    [Prng.Rng.int] draw: dune's dev profile compiles every module
+    [-opaque], so nothing across a module boundary is inlined, and the
+    per-backend code a kernel step needs lives here, not in the
+    kernels. *)
 
 val unsafe_degree : t -> int -> int
 
 val unsafe_nth_neighbour : t -> int -> int -> int
 val unsafe_random_neighbour : t -> Prng.Rng.t -> int -> int
 val unsafe_iter_neighbours : t -> int -> f:(int -> unit) -> unit
+
+(** [unsafe_neighbours_into t v buf] copies [v]'s neighbours, in the
+    ascending order of {!unsafe_nth_neighbour}, to [buf.(0 .. d - 1)]
+    and returns [d], [v]'s degree. It dispatches on the representation
+    once per call and then runs one copy loop for that backend, so on
+    the heap and bigarray backends a consumer that reads a whole
+    neighbourhood pays one call for it instead of one per neighbour
+    (the implicit loop still calls [Implicit.nth] per neighbour). [v] is unchecked; a [buf] shorter
+    than [d] raises [Invalid_argument] (size it with {!max_degree}).
+    Never use it to make one random pick: {!unsafe_random_neighbour}
+    reads one entry where this reads [d] (a [K_n] vertex has [n - 1]). *)
+val unsafe_neighbours_into : t -> int -> int array -> int
 
 (** [pp] prints the same [graph(n=..., m=..., ...)] summary as
     [Csr.pp], independent of backend. *)

@@ -23,7 +23,7 @@
    array is exact. *)
 
 type t = {
-  states : Splitmix.t array; (* 64 per-lane streams; 0..31 lo, 32..63 hi *)
+  states : int array; (* 64 per-lane Splitmix states; 0..31 lo, 32..63 hi *)
   planes : int array; (* 64 buffered plane words: lo block 0..31, hi 32..63 *)
   mutable pos : int; (* planes consumed from the current refill, 0..32 *)
   mutable lo : int; (* result cells of the last mask-producing call *)
@@ -34,32 +34,70 @@ let block = 32
 let full = 0xFFFFFFFF
 
 (* In-place 32x32 bit-matrix transpose (Hacker's Delight 7-3) over
-   [a.(off) .. a.(off + 31)], each element a 32-bit row. *)
+   [a.(off) .. a.(off + 31)], each element a 32-bit row. Level [j]
+   swaps the [j]-bit blocks selected by [m] between rows [k] and
+   [k + j], for every [k] with bit [j] clear; the levels are written out
+   with constant [j] and [m] (immediates once [swap] is inlined) and
+   short inner runs unrolled, so the 80 swaps pay few loop tests. *)
+let[@inline] swap a i j m =
+  let x = Array.unsafe_get a i and y = Array.unsafe_get a (i + j) in
+  let t = (x lxor (y lsr j)) land m in
+  Array.unsafe_set a i (x lxor t);
+  Array.unsafe_set a (i + j) (y lxor (t lsl j))
+
 let transpose32 a off =
-  let j = ref 16 and m = ref 0x0000FFFF in
-  while !j <> 0 do
-    let k = ref 0 in
-    while !k < block do
-      let i = off + !k in
-      let t = (a.(i) lxor (a.(i + !j) lsr !j)) land !m in
-      a.(i) <- a.(i) lxor t;
-      a.(i + !j) <- a.(i + !j) lxor (t lsl !j);
-      k := (!k + !j + 1) land lnot !j
-    done;
-    j := !j lsr 1;
-    m := !m lxor (!m lsl !j)
+  for i = off to off + 15 do
+    swap a i 16 0x0000FFFF
+  done;
+  for h = 0 to 1 do
+    let b = off + (16 * h) in
+    for i = b to b + 7 do
+      swap a i 8 0x00FF00FF
+    done
+  done;
+  for h = 0 to 3 do
+    let b = off + (8 * h) in
+    swap a b 4 0x0F0F0F0F;
+    swap a (b + 1) 4 0x0F0F0F0F;
+    swap a (b + 2) 4 0x0F0F0F0F;
+    swap a (b + 3) 4 0x0F0F0F0F
+  done;
+  for h = 0 to 7 do
+    let b = off + (4 * h) in
+    swap a b 2 0x33333333;
+    swap a (b + 1) 2 0x33333333
+  done;
+  for h = 0 to 15 do
+    swap a (off + (2 * h)) 1 0x55555555
   done
 
 let create seeds =
   if Array.length seeds <> 2 * block then
     invalid_arg "Lanes.create: exactly 64 per-lane seeds required";
   {
-    states = Array.map Splitmix.create seeds;
+    (* [Splitmix.create]'s initial state: every lane stream has gamma
+       [Splitmix.golden]. *)
+    states = Array.map (fun seed -> Splitmix.mix (seed + Splitmix.golden)) seeds;
     planes = Array.make (2 * block) 0;
     pos = block; (* force a refill on first use *)
     lo = 0;
     hi = 0;
   }
+
+let golden = Splitmix.golden
+let mult_a = Splitmix.mult_a
+let mult_b = Splitmix.mult_b
+
+(* One block's 32 draws, [Splitmix.next] inlined: lane [j]'s low 32
+   bits land in row [off + block - 1 - j]. *)
+let draw_block states planes off =
+  for j = 0 to block - 1 do
+    let s = Array.unsafe_get states (off + j) + golden in
+    Array.unsafe_set states (off + j) s;
+    let z = (s lxor (s lsr 30)) * mult_a in
+    let z = (z lxor (z lsr 27)) * mult_b in
+    Array.unsafe_set planes (off + block - 1 - j) ((z lxor (z lsr 31)) land full)
+  done
 
 (* The HD transpose numbers matrix columns from the most significant
    bit, so with lane [j]'s draw stored in row [block - 1 - j], plane [p]
@@ -67,22 +105,19 @@ let create seeds =
    each draw: lanes in natural order, each draw's bits consumed MSB
    first. *)
 let refill t =
-  for j = 0 to block - 1 do
-    t.planes.(block - 1 - j) <- Splitmix.next t.states.(j) land full
-  done;
+  draw_block t.states t.planes 0;
   transpose32 t.planes 0;
-  for j = 0 to block - 1 do
-    t.planes.((2 * block) - 1 - j) <- Splitmix.next t.states.(block + j) land full
-  done;
+  draw_block t.states t.planes block;
   transpose32 t.planes block;
   t.pos <- 0
 
 (* One fresh plane: a fair random bit in every lane, in [lo]/[hi]. *)
-let word t =
+let[@inline] word t =
   if t.pos = block then refill t;
-  t.lo <- t.planes.(t.pos);
-  t.hi <- t.planes.(block + t.pos);
-  t.pos <- t.pos + 1
+  let pos = t.pos in
+  t.lo <- Array.unsafe_get t.planes pos;
+  t.hi <- Array.unsafe_get t.planes (block + pos);
+  t.pos <- pos + 1
 
 let lo t = t.lo
 let hi t = t.hi
@@ -137,7 +172,7 @@ let ge_bound ~planes ~nbits ~bound =
   let c = bound - 1 in
   let gt = ref 0 and eq = ref full in
   for b = nbits - 1 downto 0 do
-    let x = planes.(b) in
+    let x = Array.unsafe_get planes b in
     if (c lsr b) land 1 = 1 then eq := !eq land x
     else begin
       gt := !gt lor (!eq land x);
@@ -148,10 +183,12 @@ let ge_bound ~planes ~nbits ~bound =
 
 let uniform_planes t ~bound ~nbits ~lo:lp ~hi:hp =
   if bound < 1 then invalid_arg "Lanes.uniform_planes: bound must be positive";
+  if Array.length lp < nbits || Array.length hp < nbits then
+    invalid_arg "Lanes.uniform_planes: plane arrays shorter than nbits";
   for b = 0 to nbits - 1 do
     word t;
-    lp.(b) <- t.lo;
-    hp.(b) <- t.hi
+    Array.unsafe_set lp b t.lo;
+    Array.unsafe_set hp b t.hi
   done;
   if bound land (bound - 1) <> 0 then begin
     (* Sliced rejection for non-power-of-two bounds: redraw only into
@@ -162,10 +199,11 @@ let uniform_planes t ~bound ~nbits ~lo:lp ~hi:hp =
     let rej_lo = ref (ge_bound ~planes:lp ~nbits ~bound) in
     let rej_hi = ref (ge_bound ~planes:hp ~nbits ~bound) in
     while !rej_lo lor !rej_hi <> 0 do
+      let rl = !rej_lo and rh = !rej_hi in
       for b = 0 to nbits - 1 do
         word t;
-        lp.(b) <- (lp.(b) land lnot !rej_lo) lor (t.lo land !rej_lo);
-        hp.(b) <- (hp.(b) land lnot !rej_hi) lor (t.hi land !rej_hi)
+        Array.unsafe_set lp b ((Array.unsafe_get lp b land lnot rl) lor (t.lo land rl));
+        Array.unsafe_set hp b ((Array.unsafe_get hp b land lnot rh) lor (t.hi land rh))
       done;
       rej_lo := ge_bound ~planes:lp ~nbits ~bound;
       rej_hi := ge_bound ~planes:hp ~nbits ~bound

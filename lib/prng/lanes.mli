@@ -10,7 +10,12 @@
 
     Internally each block refills by drawing one 32-bit word per lane
     and transposing the 32x32 bit matrix in place, so a plane amortises
-    to one Splitmix draw plus a few shifts. Stream identity with the
+    to one Splitmix draw plus a few shifts. The refill runs the
+    Splitmix step in its own loop (no call per draw) and an unrolled
+    transpose with unchecked indexing; the planes, their order (plane
+    [p] of a refill is bit [31 - p] of each lane's draw) and the bits
+    each lane consumes are those of the first, call-per-draw version,
+    which test/prng keeps as a frozen reference. Stream identity with the
     scalar engine holds at the generator level (lane [j] consumes
     exactly trial [j]'s stream, in a fixed bit order); it does {e not}
     hold draw-for-draw, because the scalar engine interprets the same

@@ -16,4 +16,4 @@ let float_range t ~lo ~hi =
   if lo > hi then invalid_arg "Rng.float_range: lo > hi";
   lo +. (Splitmix.float t *. (hi -. lo))
 
-let bernoulli t p = if p <= 0.0 then false else if p >= 1.0 then true else Splitmix.float t < p
+let bernoulli = Splitmix.bernoulli

@@ -9,7 +9,7 @@ let golden = 0x1E3779B97F4A7C15 (* 2^63 golden-ratio increment, 63-bit *)
 let mult_a = 0x3F58476D1CE4E5B9
 let mult_b = 0x14D049BB133111EB
 
-let mix z =
+let[@inline] mix z =
   let z = (z lxor (z lsr 30)) * mult_a in
   let z = (z lxor (z lsr 27)) * mult_b in
   z lxor (z lsr 31)
@@ -25,36 +25,42 @@ let create seed = { seed = mix (seed + golden); gamma = golden }
 
 let copy t = { seed = t.seed; gamma = t.gamma }
 
-let next_raw t =
+let[@inline] next_raw t =
   t.seed <- t.seed + t.gamma;
   t.seed
 
-let next t = mix (next_raw t)
+let[@inline] next t = mix (next_raw t)
 
 let split t =
   let seed = mix (next_raw t) in
   let gamma = mix_gamma (next_raw t) in
   { seed; gamma }
 
-let bits62 t = next t land max_int
+let[@inline] bits62 t = next t land max_int
+
+(* Rejection below the largest multiple of [bound] that fits in 62 bits,
+   to avoid modulo bias: [x] is kept iff its whole residue block
+   [x - x mod bound, x - x mod bound + bound) lies in [0, 2^62), i.e.
+   iff [x - x mod bound <= top] with [top = max_int - bound + 1]. That
+   keeps exactly the [x <= max_int - (2^62 mod bound)] of the textbook
+   form, with one division per draw instead of three. Top-level, so a
+   draw allocates no closure. *)
+let rec draw_below t bound top =
+  let x = bits62 t in
+  let r = x mod bound in
+  if x - r <= top then r else draw_below t bound top
 
 let int t bound =
   if bound <= 0 then invalid_arg "Splitmix.int: bound must be positive";
   if bound land (bound - 1) = 0 then bits62 t land (bound - 1)
-  else begin
-    (* Rejection below the largest multiple of [bound] that fits in 62
-       bits, to avoid modulo bias. *)
-    let rem = ((max_int mod bound) + 1) mod bound in
-    let limit = max_int - rem in
-    let rec draw () =
-      let x = bits62 t in
-      if x <= limit then x mod bound else draw ()
-    in
-    draw ()
-  end
+  else draw_below t bound (max_int - bound + 1)
 
 let two_pow_53 = 9007199254740992.0
 
-let float t = Float.of_int (bits62 t lsr 9) /. two_pow_53
+let[@inline] float t = Float.of_int (bits62 t lsr 9) /. two_pow_53
+
+(* Here rather than in [Rng], which re-exports it: the comparison then
+   reads the draw unboxed instead of a float boxed by a call. *)
+let bernoulli t p = if p <= 0.0 then false else if p >= 1.0 then true else float t < p
 
 let bool t = next t land 1 = 1

@@ -37,5 +37,27 @@ val int : t -> int -> int
 (** [float t] draws a uniform float in [0, 1) with 53 random bits. *)
 val float : t -> float
 
+(** [bernoulli t p] is [true] with probability [p]: [false] for
+    [p <= 0] and [true] for [p >= 1] without a draw, else [float t < p]. *)
+val bernoulli : t -> float -> bool
+
 (** [bool t] draws a fair coin. *)
 val bool : t -> bool
+
+(** {1 The raw stream}
+
+    For a consumer that must inline the generator in its own loop
+    ({!Lanes}' refill, where a call per draw costs more than the draw
+    itself, since no call across modules is inlined under [-opaque]).
+    [create seed] starts from state [mix (seed + golden)]; [next] adds
+    [golden] to the state and returns [mix] of the result, where [mix z]
+    is [z lxor (z lsr 31)] after [z := (z lxor (z lsr 30)) * mult_a] and
+    [z := (z lxor (z lsr 27)) * mult_b]. *)
+
+val golden : int
+
+val mult_a : int
+
+val mult_b : int
+
+val mix : int -> int

@@ -65,7 +65,10 @@ type t = {
   mu : Mutex.t;
   cond : Condition.t;
   jobs : (string, job) Hashtbl.t;
-  mutable order : string list;  (* submission order: dispatch ties + stats *)
+  order : job Queue.t;  (* every registered job, in submission order: stats *)
+  live : job Queue.t;
+      (* the queued and running ones, in submission order: dispatch,
+         promotion and admission walk only these *)
   mutable reserved : reservation list;
   mutable seq : int;
   mutable stop : bool;
@@ -86,19 +89,22 @@ let emit job event = Eventlog.append job.log (Campaign.event_to_json event)
 
 let active job = not (terminal job.state)
 
-let iter_jobs t f =
-  List.iter (fun id -> Option.iter f (Hashtbl.find_opt t.jobs id)) t.order
+let iter_live t f = Queue.iter f t.live
 
-let count_jobs t p =
-  let n = ref 0 in
-  iter_jobs t (fun j -> if p j then incr n);
-  !n
+let count_live t p = Queue.fold (fun n j -> if p j then n + 1 else n) 0 t.live
+
+(* Drops the jobs that turned terminal from [live]: once per job
+   close-out, O(live jobs). *)
+let prune_live t =
+  let keep = Queue.create () in
+  Queue.iter (fun j -> if active j then Queue.add j keep) t.live;
+  Queue.clear t.live;
+  Queue.transfer keep t.live
 
 let client_inflight t client =
   let n = ref 0 in
-  iter_jobs t (fun j ->
-      if active j && j.client = client then
-        n := !n + List.length j.queue + j.inflight);
+  iter_live t (fun j ->
+      if j.client = client then n := !n + List.length j.queue + j.inflight);
   List.iter
     (fun r -> if r.r_client = client then n := !n + r.r_cells)
     t.reserved;
@@ -178,6 +184,7 @@ let finish t job =
         if job.manifest <> None then Done
         else if job.cancelled then Cancelled
         else Failed "campaign incomplete");
+    prune_live t;
     job.plan <- None;
     Condition.broadcast t.cond
   | _ -> ()
@@ -185,8 +192,8 @@ let finish t job =
 (* ---------- dispatch lanes ---------- *)
 
 let promote t =
-  let slots = ref (t.config.max_jobs - count_jobs t (fun j -> j.state = Running)) in
-  iter_jobs t (fun j ->
+  let slots = ref (t.config.max_jobs - count_live t (fun j -> j.state = Running)) in
+  iter_live t (fun j ->
       if !slots > 0 && j.state = Queued then begin
         j.state <- Running;
         decr slots
@@ -199,7 +206,7 @@ let promote t =
    plan. *)
 let take_cell t =
   let best = ref None in
-  iter_jobs t (fun job ->
+  iter_live t (fun job ->
       if job.state = Running && job.queue <> [] then
         match !best with
         | Some b when b.inflight <= job.inflight -> ()
@@ -320,14 +327,14 @@ let submit t (s : Protocol.submit) =
                 (client_inflight t s.Protocol.client + n_cells)
                 t.config.max_inflight_per_client
             else if
-              count_jobs t active + List.length t.reserved
+              Queue.length t.live + List.length t.reserved
               >= t.config.max_jobs + t.config.queue_depth
             then
               err Protocol.Busy "%d campaigns already active (max %d running + %d queued)"
-                (count_jobs t active + List.length t.reserved)
+                (Queue.length t.live + List.length t.reserved)
                 t.config.max_jobs t.config.queue_depth
             else if
-              count_jobs t (fun j -> active j && j.dir = dir) > 0
+              count_live t (fun j -> j.dir = dir) > 0
               || List.exists (fun r -> r.r_dir = dir) t.reserved
             then err Protocol.Busy "an active campaign already owns directory %s" dir
             else begin
@@ -431,7 +438,8 @@ let submit t (s : Protocol.submit) =
               end
               else begin
                 Hashtbl.replace t.jobs id job;
-                t.order <- t.order @ [ id ];
+                Queue.add job t.order;
+                Queue.add job t.live;
                 Condition.broadcast t.cond;
                 finish t job;  (* nothing pending: complete immediately *)
                 Ok (Protocol.ok_response (job_fields job))
@@ -481,8 +489,7 @@ let stats t =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mu)
     (fun () ->
-      let jobs = ref [] in
-      iter_jobs t (fun j -> jobs := Json.Obj (job_fields j) :: !jobs);
+      let jobs = Queue.fold (fun acc j -> Json.Obj (job_fields j) :: acc) [] t.order in
       Ok
         (Protocol.ok_response
            [
@@ -491,9 +498,9 @@ let stats t =
              ("queue_depth", Json.Int t.config.queue_depth);
              ("max_cells_per_submit", Json.Int t.config.max_cells_per_submit);
              ("max_inflight_per_client", Json.Int t.config.max_inflight_per_client);
-             ("running", Json.Int (count_jobs t (fun j -> j.state = Running)));
-             ("queued", Json.Int (count_jobs t (fun j -> j.state = Queued)));
-             ("jobs", Json.List (List.rev !jobs));
+             ("running", Json.Int (count_live t (fun j -> j.state = Running)));
+             ("queued", Json.Int (count_live t (fun j -> j.state = Queued)));
+             ("jobs", Json.List (List.rev jobs));
              ("cache", cache);
            ]))
 
@@ -675,7 +682,8 @@ let run config =
           mu = Mutex.create ();
           cond = Condition.create ();
           jobs = Hashtbl.create 16;
-          order = [];
+          order = Queue.create ();
+          live = Queue.create ();
           reserved = [];
           seq = 0;
           stop = false;
@@ -745,12 +753,15 @@ let run config =
          handler, joined below. *)
       Array.iter Domain.join lanes;
       Mutex.lock t.mu;
-      iter_jobs t (fun job ->
-          if not (terminal job.state) then begin
+      (* A copy: [finish] prunes [live]. *)
+      List.iter
+        (fun job ->
+          if active job then begin
             job.cancelled <- true;
             job.queue <- [];
             finish t job
-          end);
+          end)
+        (List.of_seq (Queue.to_seq t.live));
       Mutex.unlock t.mu;
       let live =
         Mutex.lock hmu;

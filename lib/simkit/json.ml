@@ -139,7 +139,12 @@ type parser_state = { src : string; mutable pos : int }
 
 let digest v = Digest.to_hex (Digest.string (to_string v))
 
-let peek p = if p.pos < String.length p.src then Some p.src.[p.pos] else None
+(* The next character's code, or [-1] at the end of input: an [int], so
+   looking ahead allocates nothing. *)
+let peek p =
+  if p.pos < String.length p.src then Char.code (String.unsafe_get p.src p.pos) else -1
+
+let is p c = peek p = Char.code c
 
 let advance p = p.pos <- p.pos + 1
 
@@ -153,10 +158,7 @@ let skip_ws p =
     advance p
   done
 
-let expect p c =
-  match peek p with
-  | Some c' when c' = c -> advance p
-  | _ -> fail_at p (Printf.sprintf "expected %c" c)
+let expect p c = if is p c then advance p else fail_at p (Printf.sprintf "expected %c" c)
 
 let parse_literal p lit value =
   if
@@ -170,50 +172,72 @@ let parse_literal p lit value =
 
 let parse_string_body p =
   expect p '"';
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek p with
-    | None -> fail_at p "unterminated string"
-    | Some '"' -> advance p
-    | Some '\\' ->
-      advance p;
-      (match peek p with
-      | Some '"' -> Buffer.add_char buf '"'; advance p
-      | Some '\\' -> Buffer.add_char buf '\\'; advance p
-      | Some '/' -> Buffer.add_char buf '/'; advance p
-      | Some 'n' -> Buffer.add_char buf '\n'; advance p
-      | Some 't' -> Buffer.add_char buf '\t'; advance p
-      | Some 'r' -> Buffer.add_char buf '\r'; advance p
-      | Some 'b' -> Buffer.add_char buf '\b'; advance p
-      | Some 'f' -> Buffer.add_char buf '\012'; advance p
-      | Some 'u' ->
+  (* Most strings hold no escape: find the closing quote and copy the
+     run once, without a buffer. Anything else takes the loop below
+     from the same offset, so its verdicts and error offsets stand. *)
+  let src = p.src and start = p.pos in
+  let i = ref start in
+  while
+    !i < String.length src
+    &&
+    let c = String.unsafe_get src !i in
+    c <> '"' && c <> '\\'
+  do
+    incr i
+  done;
+  if !i < String.length src && String.unsafe_get src !i = '"' then begin
+    p.pos <- !i + 1;
+    String.sub src start (!i - start)
+  end
+  else begin
+    let buf = Buffer.create 16 in
+    let rec loop () =
+      let c = peek p in
+      if c < 0 then fail_at p "unterminated string";
+      match Char.unsafe_chr c with
+      | '"' -> advance p
+      | '\\' ->
         advance p;
-        if p.pos + 4 > String.length p.src then fail_at p "truncated \\u escape";
-        let hex = String.sub p.src p.pos 4 in
-        let code =
-          try int_of_string ("0x" ^ hex)
-          with _ -> fail_at p "bad \\u escape"
-        in
-        p.pos <- p.pos + 4;
-        (* Encode as UTF-8 (surrogate pairs are not recombined; the
-           emitter only produces escapes below 0x20, so this is enough
-           to round-trip our own documents and accept foreign ones). *)
-        if code < 0x80 then Buffer.add_char buf (Char.chr code)
-        else if code < 0x800 then begin
-          Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-        end
-        else begin
-          Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-          Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-        end
-      | _ -> fail_at p "bad escape");
-      loop ()
-    | Some c -> Buffer.add_char buf c; advance p; loop ()
-  in
-  loop ();
-  Buffer.contents buf
+        let e = peek p in
+        if e < 0 then fail_at p "bad escape";
+        (match Char.unsafe_chr e with
+        | '"' -> Buffer.add_char buf '"'; advance p
+        | '\\' -> Buffer.add_char buf '\\'; advance p
+        | '/' -> Buffer.add_char buf '/'; advance p
+        | 'n' -> Buffer.add_char buf '\n'; advance p
+        | 't' -> Buffer.add_char buf '\t'; advance p
+        | 'r' -> Buffer.add_char buf '\r'; advance p
+        | 'b' -> Buffer.add_char buf '\b'; advance p
+        | 'f' -> Buffer.add_char buf '\012'; advance p
+        | 'u' ->
+          advance p;
+          if p.pos + 4 > String.length p.src then fail_at p "truncated \\u escape";
+          let hex = String.sub p.src p.pos 4 in
+          let code =
+            try int_of_string ("0x" ^ hex)
+            with _ -> fail_at p "bad \\u escape"
+          in
+          p.pos <- p.pos + 4;
+          (* Encode as UTF-8 (surrogate pairs are not recombined; the
+             emitter only produces escapes below 0x20, so this is enough
+             to round-trip our own documents and accept foreign ones). *)
+          if code < 0x80 then Buffer.add_char buf (Char.chr code)
+          else if code < 0x800 then begin
+            Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+          end
+          else begin
+            Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+            Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+          end
+        | _ -> fail_at p "bad escape");
+        loop ()
+      | c -> Buffer.add_char buf c; advance p; loop ()
+    in
+    loop ();
+    Buffer.contents buf
+  end
 
 let parse_number p =
   let start = p.pos in
@@ -222,7 +246,10 @@ let parse_number p =
     | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
     | _ -> false
   in
-  while (match peek p with Some c when is_num_char c -> true | _ -> false) do
+  while
+    let c = peek p in
+    c >= 0 && is_num_char (Char.unsafe_chr c)
+  do
     advance p
   done;
   let text = String.sub p.src start (p.pos - start) in
@@ -240,12 +267,13 @@ let parse_number p =
 
 let rec parse_value p =
   skip_ws p;
-  match peek p with
-  | None -> fail_at p "unexpected end of input"
-  | Some '{' ->
+  let c = peek p in
+  if c < 0 then fail_at p "unexpected end of input";
+  match Char.unsafe_chr c with
+  | '{' ->
     advance p;
     skip_ws p;
-    if peek p = Some '}' then begin
+    if is p '}' then begin
       advance p;
       Obj []
     end
@@ -259,18 +287,20 @@ let rec parse_value p =
         let v = parse_value p in
         fields := (key, v) :: !fields;
         skip_ws p;
-        match peek p with
-        | Some ',' -> advance p; members ()
-        | Some '}' -> advance p
-        | _ -> fail_at p "expected ',' or '}'"
+        if is p ',' then begin
+          advance p;
+          members ()
+        end
+        else if is p '}' then advance p
+        else fail_at p "expected ',' or '}'"
       in
       members ();
       Obj (List.rev !fields)
     end
-  | Some '[' ->
+  | '[' ->
     advance p;
     skip_ws p;
-    if peek p = Some ']' then begin
+    if is p ']' then begin
       advance p;
       List []
     end
@@ -280,19 +310,21 @@ let rec parse_value p =
         let v = parse_value p in
         items := v :: !items;
         skip_ws p;
-        match peek p with
-        | Some ',' -> advance p; elements ()
-        | Some ']' -> advance p
-        | _ -> fail_at p "expected ',' or ']'"
+        if is p ',' then begin
+          advance p;
+          elements ()
+        end
+        else if is p ']' then advance p
+        else fail_at p "expected ',' or ']'"
       in
       elements ();
       List (List.rev !items)
     end
-  | Some '"' -> String (parse_string_body p)
-  | Some 't' -> parse_literal p "true" (Bool true)
-  | Some 'f' -> parse_literal p "false" (Bool false)
-  | Some 'n' -> parse_literal p "null" Null
-  | Some _ -> parse_number p
+  | '"' -> String (parse_string_body p)
+  | 't' -> parse_literal p "true" (Bool true)
+  | 'f' -> parse_literal p "false" (Bool false)
+  | 'n' -> parse_literal p "null" Null
+  | _ -> parse_number p
 
 let of_string s =
   let p = { src = s; pos = 0 } in

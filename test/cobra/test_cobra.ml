@@ -185,7 +185,11 @@ let test_distinct_picks_are_distinct () =
   (* k above the degree caps at the whole neighbourhood *)
   let path = Gen.path 3 in
   let n = B.iter_picks (B.distinct 5) rng path 0 ~f:(fun w -> ignore w) in
-  check Alcotest.int "capped at degree" 1 n
+  check Alcotest.int "capped at degree" 1 n;
+  (* so is the kernels' pick buffer: a huge k allocates no more *)
+  check Alcotest.int "buffer capped at max degree" 9
+    (Array.length (B.picks_buffer (B.distinct 1_000_000_000) g));
+  check Alcotest.int "fixed buffer" 3 (Array.length (B.picks_buffer (B.fixed 3) path))
 
 let test_distinct_infection_probability () =
   (* degree 4, 2 infected, k=2 distinct: 1 - C(2,2)/C(4,2) = 5/6 *)

@@ -98,6 +98,17 @@ let test_bitset_capacity_mismatch () =
     (Invalid_argument "Bitset.union_into: capacity mismatch") (fun () ->
       Bitset.union_into ~src:a ~dst:b)
 
+(* The layout the kernel steps read and write in place (bitset.mli lists
+   them): member [i] is bit [i land 31] of [words.(i lsr 5)]. *)
+let test_bitset_words_layout () =
+  let s = Bitset.create 100 in
+  List.iter (Bitset.add s) [ 0; 31; 32; 70; 99 ];
+  check
+    Alcotest.(array int)
+    "words"
+    [| 1 lor (1 lsl 31); 1; 1 lsl 6; 1 lsl 3 |]
+    s.Bitset.words
+
 (* Property: bitset behaves like a reference implementation over int
    sets. *)
 let bitset_model_prop =
@@ -373,6 +384,15 @@ let test_lanemat_cells () =
   check Alcotest.bool "empty and vacuously full" true
     (Lanemat.fold_and m = (0, 0) && Lanemat.fold_and (Lanemat.create 0) = (0xFFFFFFFF, 0xFFFFFFFF))
 
+(* The layout the sliced steppers read and write in place (lanemat.mli
+   lists them): row [v]'s lanes 0..31 are [cells.(2 * v)], lanes 32..63
+   [cells.(2 * v + 1)]. *)
+let test_lanemat_cells_layout () =
+  let m = Lanemat.create 3 in
+  Lanemat.add m 1 ~lane:5;
+  Lanemat.add m 2 ~lane:40;
+  check Alcotest.(array int) "cells" [| 0; 0; 1 lsl 5; 0; 0; 1 lsl 8 |] m.Lanemat.cells
+
 let test_lanemat_blit_checks () =
   let a = Lanemat.create 5 and b = Lanemat.create 5 in
   Lanemat.add a 4 ~lane:63;
@@ -516,6 +536,7 @@ let () =
           Alcotest.test_case "set operations" `Quick test_bitset_set_ops;
           Alcotest.test_case "blit/iter/fold" `Quick test_bitset_blit_iter_fold;
           Alcotest.test_case "capacity mismatch" `Quick test_bitset_capacity_mismatch;
+          Alcotest.test_case "words layout" `Quick test_bitset_words_layout;
           qtest bitset_model_prop;
           qtest bitset_union_commutes_prop;
         ] );
@@ -531,6 +552,7 @@ let () =
           Alcotest.test_case "lane_mask" `Quick test_lanemat_lane_mask;
           Alcotest.test_case "cells and masking" `Quick test_lanemat_cells;
           Alcotest.test_case "blit and range checks" `Quick test_lanemat_blit_checks;
+          Alcotest.test_case "cells layout" `Quick test_lanemat_cells_layout;
           qtest lanemat_model_prop;
           qtest lanemat_roundtrip_prop;
           qtest lanemat_counts_prop;

@@ -63,7 +63,23 @@ let check_same_topology name reference other =
       ns;
     Alcotest.(check int)
       (Printf.sprintf "%s: iter count of %d" name v)
-      d (List.length ns)
+      d (List.length ns);
+    (* The one-dispatch gather copies the same slice on both views, and
+       refuses a buffer one entry short. *)
+    List.iter
+      (fun view ->
+        let buf = Array.make (max 1 (V.max_degree view)) (-1) in
+        let k = V.unsafe_neighbours_into view v buf in
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s: gathered neighbours of %d" name v)
+          ns
+          (Array.to_list (Array.sub buf 0 k));
+        if d > 0 then
+          Alcotest.check_raises
+            (Printf.sprintf "%s: short gather buffer at %d" name v)
+            (Invalid_argument "View.unsafe_neighbours_into: buffer too small")
+            (fun () -> ignore (V.unsafe_neighbours_into view v (Array.make (d - 1) 0))))
+      [ reference; other ]
   done
 
 let test_families_agree () =

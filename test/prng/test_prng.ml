@@ -339,6 +339,217 @@ let rng_int_unbiased_prop =
       let x = Rng.int rng bound in
       x >= 0 && x < bound)
 
+
+(* ---------- bit-for-bit pins of the generators ----------
+
+   [Splitmix.int] is checked against the three-division rejection rule
+   it was first written with, and [Prng.Lanes] against a frozen copy of
+   its first implementation: a rewrite of either for speed must keep
+   every output. *)
+
+let reference_int t bound =
+  if bound land (bound - 1) = 0 then Splitmix.bits62 t land (bound - 1)
+  else begin
+    let rem = ((max_int mod bound) + 1) mod bound in
+    let limit = max_int - rem in
+    let rec draw () =
+      let x = Splitmix.bits62 t in
+      if x <= limit then x mod bound else draw ()
+    in
+    draw ()
+  end
+
+let test_int_matches_reference () =
+  let a = Splitmix.create 77 and b = Splitmix.create 77 in
+  let same bound =
+    for _ = 1 to 50 do
+      let x = Splitmix.int a bound and y = reference_int b bound in
+      if x <> y then Alcotest.failf "bound %d: %d vs reference %d" bound x y
+    done
+  in
+  for bound = 1 to 1000 do
+    same bound
+  done;
+  (* Large bounds, where rejection is frequent (max_int / 2 + 1 rejects
+     almost half of all draws). *)
+  List.iter
+    (fun bound -> for _ = 1 to 40 do same bound done)
+    [ (1 lsl 40) + 3; max_int / 3; (max_int / 2) + 1; max_int; max_int - 1 ];
+  check Alcotest.int "streams still aligned" (Splitmix.next b) (Splitmix.next a)
+
+(* The plane generator as first written: 64 Splitmix streams refilled
+   32 draws at a time through a 32x32 transpose, plane p of a refill
+   carrying bit 31 - p of each lane's draw. *)
+module Reference_lanes = struct
+  type t = {
+    states : Splitmix.t array;
+    planes : int array;
+    mutable pos : int;
+    mutable lo : int;
+    mutable hi : int;
+  }
+
+  let block = 32
+  let full = 0xFFFFFFFF
+
+  let transpose32 a off =
+    let j = ref 16 and m = ref 0x0000FFFF in
+    while !j <> 0 do
+      let k = ref 0 in
+      while !k < block do
+        let i = off + !k in
+        let t = (a.(i) lxor (a.(i + !j) lsr !j)) land !m in
+        a.(i) <- a.(i) lxor t;
+        a.(i + !j) <- a.(i + !j) lxor (t lsl !j);
+        k := (!k + !j + 1) land lnot !j
+      done;
+      j := !j lsr 1;
+      m := !m lxor (!m lsl !j)
+    done
+
+  let create seeds =
+    {
+      states = Array.map Splitmix.create seeds;
+      planes = Array.make (2 * block) 0;
+      pos = block;
+      lo = 0;
+      hi = 0;
+    }
+
+  let refill t =
+    for j = 0 to block - 1 do
+      t.planes.(block - 1 - j) <- Splitmix.next t.states.(j) land full
+    done;
+    transpose32 t.planes 0;
+    for j = 0 to block - 1 do
+      t.planes.((2 * block) - 1 - j) <- Splitmix.next t.states.(block + j) land full
+    done;
+    transpose32 t.planes block;
+    t.pos <- 0
+
+  let word t =
+    if t.pos = block then refill t;
+    t.lo <- t.planes.(t.pos);
+    t.hi <- t.planes.(block + t.pos);
+    t.pos <- t.pos + 1
+
+  let bernoulli t p =
+    if p <= 0.0 then begin
+      t.lo <- 0;
+      t.hi <- 0
+    end
+    else if p >= 1.0 then begin
+      t.lo <- full;
+      t.hi <- full
+    end
+    else begin
+      let res_lo = ref 0 and res_hi = ref 0 in
+      let und_lo = ref full and und_hi = ref full in
+      let q = ref p in
+      while !und_lo lor !und_hi <> 0 && !q > 0.0 do
+        q := !q *. 2.0;
+        let bit = !q >= 1.0 in
+        if bit then q := !q -. 1.0;
+        word t;
+        if bit then begin
+          res_lo := !res_lo lor (!und_lo land lnot t.lo);
+          res_hi := !res_hi lor (!und_hi land lnot t.hi);
+          und_lo := !und_lo land t.lo;
+          und_hi := !und_hi land t.hi
+        end
+        else begin
+          und_lo := !und_lo land lnot t.lo;
+          und_hi := !und_hi land lnot t.hi
+        end
+      done;
+      t.lo <- !res_lo land full;
+      t.hi <- !res_hi land full
+    end
+
+  let bits_for bound =
+    let rec go b = if 1 lsl b >= bound then b else go (b + 1) in
+    go 0
+
+  let ge_bound ~planes ~nbits ~bound =
+    let c = bound - 1 in
+    let gt = ref 0 and eq = ref full in
+    for b = nbits - 1 downto 0 do
+      let x = planes.(b) in
+      if (c lsr b) land 1 = 1 then eq := !eq land x
+      else begin
+        gt := !gt lor (!eq land x);
+        eq := !eq land lnot x
+      end
+    done;
+    !gt
+
+  let uniform_planes t ~bound ~nbits ~lo:lp ~hi:hp =
+    for b = 0 to nbits - 1 do
+      word t;
+      lp.(b) <- t.lo;
+      hp.(b) <- t.hi
+    done;
+    if bound land (bound - 1) <> 0 then begin
+      let rej_lo = ref (ge_bound ~planes:lp ~nbits ~bound) in
+      let rej_hi = ref (ge_bound ~planes:hp ~nbits ~bound) in
+      while !rej_lo lor !rej_hi <> 0 do
+        for b = 0 to nbits - 1 do
+          word t;
+          lp.(b) <- (lp.(b) land lnot !rej_lo) lor (t.lo land !rej_lo);
+          hp.(b) <- (hp.(b) land lnot !rej_hi) lor (t.hi land !rej_hi)
+        done;
+        rej_lo := ge_bound ~planes:lp ~nbits ~bound;
+        rej_hi := ge_bound ~planes:hp ~nbits ~bound
+      done
+    end
+end
+
+let lane_seeds salt = Array.init 64 (fun j -> (salt * 1_000_003) + (j * 7919) - 31)
+
+let test_lanes_planes_match_reference () =
+  let seeds = lane_seeds 1 in
+  let a = Prng.Lanes.create seeds and r = Reference_lanes.create seeds in
+  for i = 1 to 10_000 do
+    Prng.Lanes.word a;
+    Reference_lanes.word r;
+    if Prng.Lanes.lo a <> r.Reference_lanes.lo || Prng.Lanes.hi a <> r.Reference_lanes.hi
+    then Alcotest.failf "plane %d differs" i
+  done
+
+let test_lanes_uniform_matches_reference () =
+  let seeds = lane_seeds 2 in
+  let a = Prng.Lanes.create seeds and r = Reference_lanes.create seeds in
+  for round = 1 to 5 do
+    for bound = 1 to 40 do
+      let nbits = Prng.Lanes.bits_for bound in
+      check Alcotest.int "bits_for" (Reference_lanes.bits_for bound) nbits;
+      let n = max 1 nbits in
+      let lo = Array.make n 0 and hi = Array.make n 0 in
+      let rlo = Array.make n 0 and rhi = Array.make n 0 in
+      Prng.Lanes.uniform_planes a ~bound ~nbits ~lo ~hi;
+      Reference_lanes.uniform_planes r ~bound ~nbits ~lo:rlo ~hi:rhi;
+      if lo <> rlo || hi <> rhi then
+        Alcotest.failf "uniform_planes bound %d (round %d) differs" bound round
+    done
+  done;
+  (* Both generators consumed the same number of planes. *)
+  Prng.Lanes.word a;
+  Reference_lanes.word r;
+  check Alcotest.int "aligned after" r.Reference_lanes.lo (Prng.Lanes.lo a)
+
+let test_lanes_bernoulli_matches_reference () =
+  let seeds = lane_seeds 3 in
+  let a = Prng.Lanes.create seeds and r = Reference_lanes.create seeds in
+  for i = 1 to 500 do
+    List.iter
+      (fun p ->
+        Prng.Lanes.bernoulli a p;
+        Reference_lanes.bernoulli r p;
+        if Prng.Lanes.lo a <> r.Reference_lanes.lo || Prng.Lanes.hi a <> r.Reference_lanes.hi
+        then Alcotest.failf "bernoulli %g (draw %d) differs" p i)
+      [ 0.1; 0.3; 0.5; 0.9 ]
+  done
+
 let () =
   Alcotest.run "prng"
     [
@@ -382,5 +593,16 @@ let () =
           Alcotest.test_case "reservoir" `Quick test_reservoir;
           Alcotest.test_case "alias method" `Quick test_alias_matches_weights;
           qtest alias_vs_categorical_prop;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "Splitmix.int equals three-division rule" `Quick
+            test_int_matches_reference;
+          Alcotest.test_case "Lanes planes match the reference" `Quick
+            test_lanes_planes_match_reference;
+          Alcotest.test_case "Lanes uniform_planes match reference" `Quick
+            test_lanes_uniform_matches_reference;
+          Alcotest.test_case "Lanes bernoulli matches the reference" `Quick
+            test_lanes_bernoulli_matches_reference;
         ] );
     ]

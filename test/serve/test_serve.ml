@@ -517,6 +517,65 @@ let test_cancel_leaves_other_job_intact () =
       check_matches_batch ~grid:light_grid ~dir ~out
         "other manifest byte-identical")
 
+(* A long-lived daemon keeps its finished jobs for [status] and [stats],
+   but dispatch walks only the live ones. After 200 one-cell jobs have
+   finished, one lane still dispatches by fewest cells in flight with
+   ties in submission order — with one lane every tie goes to the older
+   job, so of two jobs admitted while a heavy cell runs, every cell of
+   the first is written before any cell of the second — and [stats]
+   still lists every job, in submission order. *)
+let test_dispatch_after_many_finished_jobs () =
+  with_daemon
+    ~config:(fun c -> { c with Daemon.domains = Some 1 })
+    (fun ~socket ~dir ->
+      let finished = 200 in
+      for i = 1 to finished do
+        let out = Filename.concat dir (Printf.sprintf "one-%03d" i) in
+        let _, final, _ =
+          submit_and_watch ~socket ~out
+            ~grid:(Printf.sprintf "name=one;graphs=cycle:%d;kernels=bips;trials=1" (4 + i))
+            ()
+        in
+        check Alcotest.string "one-cell job done" "done" (str_field final "status")
+      done;
+      let heavy = submit ~socket ~out:(Filename.concat dir "heavy") ~grid:uneven_grid () in
+      let out_a = Filename.concat dir "a" and out_b = Filename.concat dir "b" in
+      let job_a = submit ~socket ~out:out_a ~grid:light_grid () in
+      (* Not [light_grid] again: its cells would be cache hits, hard
+         links sharing the first job's inodes and so their mtimes. *)
+      let job_b =
+        submit ~socket ~out:out_b
+          ~grid:"name=light2;graphs=cycle:11,complete:7;kernels=bips,push;trials=3" ()
+      in
+      List.iter
+        (fun job ->
+          let final, _ = watch ~socket job in
+          check Alcotest.string (job ^ " done") "done" (str_field final "status"))
+        [ heavy; job_a; job_b ];
+      let mtimes out =
+        let cells = Filename.concat out "cells" in
+        Array.to_list (Sys.readdir cells)
+        |> List.map (fun f -> (Unix.stat (Filename.concat cells f)).Unix.st_mtime)
+      in
+      let last_a = List.fold_left max neg_infinity (mtimes out_a) in
+      let first_b = List.fold_left min infinity (mtimes out_b) in
+      check Alcotest.bool "the older job's cells all precede the newer job's" true
+        (last_a <= first_b);
+      match Client.request ~socket Protocol.Stats with
+      | Error msg -> Alcotest.fail msg
+      | Ok doc ->
+        check Alcotest.int "nothing running" 0 (int_field doc "running");
+        let ids =
+          match Json.member "jobs" doc with
+          | Some (Json.List jobs) -> List.map (fun j -> str_field j "job") jobs
+          | _ -> Alcotest.fail "stats has no job list"
+        in
+        check Alcotest.int "stats lists every job" (finished + 3) (List.length ids);
+        check Alcotest.(list string) "in submission order" (List.sort compare ids) ids;
+        check Alcotest.(list string) "the last three are the new jobs"
+          [ heavy; job_a; job_b ]
+          (List.filteri (fun i _ -> i >= finished) ids))
+
 let test_shutdown_with_cells_in_flight () =
   let d = start_daemon () in
   let out = Filename.concat d.dir "heavy" in
@@ -647,5 +706,7 @@ let () =
             test_cancel_leaves_other_job_intact;
           Alcotest.test_case "shutdown with cells in flight, then resume" `Quick
             test_shutdown_with_cells_in_flight;
+          Alcotest.test_case "dispatch order after 200 finished jobs" `Quick
+            test_dispatch_after_many_finished_jobs;
         ] );
     ]

@@ -1219,6 +1219,117 @@ let test_resume_refuses_changed_backend () =
       (";backend=bigarray", ";backend=implicit");
     ]
 
+
+(* ---------- lane-engine goldens ----------
+
+   Bit-for-bit pins of the lane engine: the per-trial outcomes
+   ([completed], [rounds], every observation) of 70 trials (one full
+   64-lane batch and a 6-lane remainder) of each sliced kernel, on a
+   graph with a power-of-two degree, one with a non-power-of-two degree
+   and an irregular BA graph, under k=2 and 1+0.5, on every backend
+   that builds the graph. The conformance suite only checks the lanes
+   statistically, so a changed draw would pass it; these digests catch
+   it. Each golden is the MD5 of the outcomes rendered with exact (hex)
+   floats, recorded before the sliced steppers were rewritten to gather
+   each neighbourhood once. *)
+
+let lane_golden_specs =
+  [
+    ("hypercube:4", [ `Heap; `Bigarray; `Implicit ]);
+    ("random-regular:30x3", [ `Heap; `Bigarray ]);
+    ("hypercube:5", [ `Heap; `Bigarray; `Implicit ]);
+    ("ba:40x2", [ `Heap; `Bigarray ]);
+  ]
+
+let render_outcomes outcomes =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun (o : K.outcome) ->
+      Buffer.add_string b (Printf.sprintf "%b %d" o.K.completed o.K.rounds);
+      List.iter
+        (fun (k, v) -> Buffer.add_string b (Printf.sprintf " %s=%h" k v))
+        o.K.observations;
+      Buffer.add_char b '\n')
+    outcomes;
+  Buffer.contents b
+
+let lane_golden_digest ~spec_s ~backend ~kernel ~branching =
+  let spec =
+    match Graph.Spec.parse spec_s with Ok s -> s | Error msg -> failwith msg
+  in
+  let g =
+    match Graph.Spec.build_view spec ~backend (Rng.create 99) with
+    | Ok v -> v
+    | Error msg -> failwith msg
+  in
+  let k = Option.get (Sweep.Kernels.find kernel) in
+  let params = { K.default_params with K.branching } in
+  let outcomes =
+    Sweep.Kernels.run_trials ~engine:`Lanes k g params ~trials:70 ~master:41 ~salt0:7
+  in
+  Digest.to_hex (Digest.string (render_outcomes outcomes))
+
+let lane_golden_cases =
+  List.concat_map
+    (fun (spec_s, backends) ->
+      List.concat_map
+        (fun kernel ->
+          List.map
+            (fun branching -> (spec_s, backends, kernel, branching))
+            [ B.fixed 2; B.one_plus 0.5 ])
+        [ "cobra"; "bips"; "push"; "sis" ])
+    lane_golden_specs
+
+let lane_goldens =
+  [
+    (("hypercube:4", "cobra", "k=2"), "812094ea9acf7f2e8efc78707f3046da");
+    (("hypercube:4", "cobra", "1+0.5"), "30ccf20f9e6fde9fd5ba93d54bb09542");
+    (("hypercube:4", "bips", "k=2"), "da0f9e45c11a73bfdda8dbf32be61685");
+    (("hypercube:4", "bips", "1+0.5"), "45d43fc7d68654de5ee8566e480b0fc9");
+    (("hypercube:4", "push", "k=2"), "e24b82008461a696026472ded5ca7ec1");
+    (("hypercube:4", "push", "1+0.5"), "e24b82008461a696026472ded5ca7ec1");
+    (("hypercube:4", "sis", "k=2"), "392ba575bce5c433199254bc0749e98b");
+    (("hypercube:4", "sis", "1+0.5"), "e044fdd013f898b0181567ac379f6560");
+    (("random-regular:30x3", "cobra", "k=2"), "d27167d1c86352967d8c0bf890447d50");
+    (("random-regular:30x3", "cobra", "1+0.5"), "33667a4f090cdd36cdfe01f3e4a08536");
+    (("random-regular:30x3", "bips", "k=2"), "b41edf5584023e6ad9d31f06bae5e446");
+    (("random-regular:30x3", "bips", "1+0.5"), "c679472f6dd8f85006f63c223fc3d558");
+    (("random-regular:30x3", "push", "k=2"), "6031809eb07dec0710a71b3fea983aa5");
+    (("random-regular:30x3", "push", "1+0.5"), "6031809eb07dec0710a71b3fea983aa5");
+    (("random-regular:30x3", "sis", "k=2"), "acb223d52a71c9005ede9ad0e45f5f00");
+    (("random-regular:30x3", "sis", "1+0.5"), "8af36d10ab656d1f4d2205b5ec305fc3");
+    (("hypercube:5", "cobra", "k=2"), "947d8f401db9cf1e74d1238e876722b9");
+    (("hypercube:5", "cobra", "1+0.5"), "e494627037f8ea5a1c1194fe1f42bcbc");
+    (("hypercube:5", "bips", "k=2"), "889c2771cf0e977cc4ed8c944a608fca");
+    (("hypercube:5", "bips", "1+0.5"), "a1693638fe1cfabb958954acbd000911");
+    (("hypercube:5", "push", "k=2"), "c5f7b459474ba18932ab333418e7365d");
+    (("hypercube:5", "push", "1+0.5"), "c5f7b459474ba18932ab333418e7365d");
+    (("hypercube:5", "sis", "k=2"), "c47747bb5312516186d0f43ed19ccda5");
+    (("hypercube:5", "sis", "1+0.5"), "5a7320f23adfe048ce677271cbe138b8");
+    (("ba:40x2", "cobra", "k=2"), "799dcd04dc3c3325e3118eef5d9ae6ab");
+    (("ba:40x2", "cobra", "1+0.5"), "48a5ca67a32e5b4217fa75922421507e");
+    (("ba:40x2", "bips", "k=2"), "afb583c564892f698278cdaa5671e860");
+    (("ba:40x2", "bips", "1+0.5"), "ae61ef7e051959f1d48d15f177c8cf8b");
+    (("ba:40x2", "push", "k=2"), "2c3c0265d8bd04140110985d8f9615f6");
+    (("ba:40x2", "push", "1+0.5"), "2c3c0265d8bd04140110985d8f9615f6");
+    (("ba:40x2", "sis", "k=2"), "8a7a3d2890080190d0d68c9bf054622f");
+    (("ba:40x2", "sis", "1+0.5"), "08881c48309190fd835ee902a3539e36");
+  ]
+
+let test_lane_goldens () =
+  List.iter
+    (fun (spec_s, backends, kernel, branching) ->
+      let want = List.assoc (spec_s, kernel, B.to_arg branching) lane_goldens in
+      List.iter
+        (fun backend ->
+          check Alcotest.string
+            (Printf.sprintf "%s/%s/%s/%s" spec_s kernel (B.to_arg branching)
+               (Graph.View.backend_to_string backend))
+            want
+            (lane_golden_digest ~spec_s ~backend ~kernel ~branching))
+        backends)
+    lane_golden_cases
+
 let () =
   Alcotest.run "sweep"
     [
@@ -1305,5 +1416,9 @@ let () =
           Alcotest.test_case "resume refuses changed engine" `Quick
             test_resume_refuses_changed_engine;
           Alcotest.test_case "zero trials on both engines" `Quick test_run_trials_zero;
+        ] );
+      ( "lane-goldens",
+        [
+          Alcotest.test_case "outcomes pinned bit for bit" `Quick test_lane_goldens;
         ] );
     ]
