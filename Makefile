@@ -12,12 +12,14 @@ build:
 test:
 	dune runtest
 
-# CI gate: build, tests, then the quick-scale experiment suite with
-# machine-readable artifacts — non-zero exit iff any verdict fails.
+# CI gate: the build's flags (no -opaque, warnings as errors; see
+# dune-workspace), build, tests, then the quick-scale experiment suite
+# with machine-readable artifacts — non-zero exit iff any verdict fails.
 # _results is removed first: stale artifacts from an earlier run must
 # not be able to mask a missing-output bug in this one.
 check:
 	rm -rf _results
+	sh scripts/check_build_flags.sh
 	dune build @all
 	dune runtest
 	dune exec bin/main.exe -- exp --scale quick --check --format json --out _results
@@ -111,9 +113,9 @@ bench-lanes:
 bench-lanes-smoke:
 	dune exec bench/main.exe -- lanes --smoke --json BENCH_lanes_smoke.json
 
-# Regression gate between two cobra.bench/1 files (legacy flat files are
-# accepted too): fails when any section's median new/old time ratio
-# exceeds +25%, or when a section disappears.
+# Regression gate between two cobra.bench/1 files: fails when any
+# section's median new/old time ratio exceeds +25%, or when a section
+# disappears.
 # Usage: make bench-compare OLD=BENCH_a.json NEW=BENCH_b.json
 bench-compare:
 	@test -n "$(OLD)" -a -n "$(NEW)" || \

@@ -50,26 +50,16 @@ let infected_count p = p.count
 let infected_set p = Array.of_list (Bitset.to_list p.infected)
 let is_saturated p = p.count = Graph.View.n_vertices p.graph
 
-(* [Bitset]'s layout, written once for the step: member [i] is bit
-   [i land 31] of [words.(i lsr 5)]. *)
-let[@inline] mem_word words i =
-  Array.unsafe_get words (i lsr 5) land (1 lsl (i land 31)) <> 0
-
-let[@inline] add_word words i =
-  let wi = i lsr 5 in
-  Array.unsafe_set words wi (Array.unsafe_get words wi lor (1 lsl (i land 31)))
-
 let step p rng =
   let g = p.graph in
   let n = Graph.View.n_vertices g in
   Bitset.clear p.next;
   let count = ref 0 in
   (* [u] scans [0 .. n-1] and every pick comes from the adjacency
-     arrays, so the in-place word reads and writes are in range by
+     arrays, so the unchecked [Bitset] reads and writes are in range by
      construction. One [Branching.picks_into] call per vertex; every
      pick is drawn, hit or not, as the draw count requires. *)
-  let infected = p.infected.Bitset.words and next = p.next.Bitset.words in
-  let picks = p.picks in
+  let infected = p.infected and next = p.next and picks = p.picks in
   for u = 0 to n - 1 do
     let hit =
       u = p.source
@@ -77,12 +67,12 @@ let step p rng =
       let c = Branching.picks_into p.branching rng g u picks in
       let hit = ref false in
       for j = 0 to c - 1 do
-        if mem_word infected (Array.unsafe_get picks j) then hit := true
+        if Bitset.unsafe_mem infected (Array.unsafe_get picks j) then hit := true
       done;
       !hit
     in
     if hit then begin
-      add_word next u;
+      Bitset.unsafe_add next u;
       incr count
     end
   done;

@@ -100,12 +100,10 @@ let infection_probability_counts t ~degree ~infected =
     let k = min k degree in
     1.0 -. (choose (degree - infected) k /. choose degree k)
 
-let pp ppf = function
-  | Fixed k -> Format.fprintf ppf "k=%d" k
-  | One_plus rho -> Format.fprintf ppf "1+rho (rho=%g)" rho
-  | Distinct k -> Format.fprintf ppf "k=%d distinct" k
-
-let to_string t = Format.asprintf "%a" pp t
+let to_string = function
+  | Fixed k -> Printf.sprintf "k=%d" k
+  | One_plus rho -> Printf.sprintf "1+rho (rho=%g)" rho
+  | Distinct k -> Printf.sprintf "k=%d distinct" k
 
 let of_string s =
   let s = String.trim (String.lowercase_ascii s) in

@@ -97,10 +97,7 @@ val infection_probability : t -> float -> float
     [k' = min k degree]). *)
 val infection_probability_counts : t -> degree:int -> infected:int -> float
 
-(** [pp] prints ["k=2"], ["1+rho (rho=0.25)"] or ["k=2 distinct"]. *)
-val pp : Format.formatter -> t -> unit
-
-(** [to_string] is [pp] to a string. *)
+(** [to_string] is ["k=2"], ["1+rho (rho=0.25)"] or ["k=2 distinct"]. *)
 val to_string : t -> string
 
 (** [of_string s] parses the CLI argument syntax: [k=<int>] or a bare

@@ -92,40 +92,15 @@ let trajectory t g params rng ~key =
 
 let fi = float_of_int
 
-(* The steps below test and set membership through the [Bitset] words in
-   place and keep their counters in locals for the round: a call into
-   [Bitset] per vertex is never inlined under the [-opaque] dev profile.
-   [Bitset]'s layout is written once, here: member [i] is bit
-   [i land 31] of [words.(i lsr 5)]. *)
+(* The steps below test and set membership with [Bitset]'s unchecked
+   helpers, which inline here, and keep their counters in locals for the
+   round. *)
 
-let[@inline] mem_word words i =
-  Array.unsafe_get words (i lsr 5) land (1 lsl (i land 31)) <> 0
-
-(* Adds [i]; [true] iff it was not a member. *)
-let[@inline] add_new words i =
-  let wi = i lsr 5 and bit = 1 lsl (i land 31) in
-  let cell = Array.unsafe_get words wi in
-  cell land bit = 0
-  &&
-  (Array.unsafe_set words wi (cell lor bit);
-   true)
-
-(* The member that bit [b] of [words.(wi)] stands for. *)
-let[@inline] member_at wi b = (wi lsl 5) + b
-
-(* Trailing-zero count of a nonzero 32-bit cell ([Bitset]'s). *)
-let ctz x =
-  let x = (x land -x) - 1 in
-  let x = x - ((x lsr 1) land 0x55555555) in
-  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
-  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
-  (x * 0x01010101) lsr 24 land 0x3F
-
-(* Adds the members of [newly] missing from [words]; returns how many. *)
-let absorb words newly =
+(* Adds the members of [newly] missing from [set]; returns how many. *)
+let absorb set newly =
   let added = ref 0 in
-  for i = 0 to newly.Dstruct.Intvec.len - 1 do
-    if add_new words (Array.unsafe_get newly.Dstruct.Intvec.data i) then incr added
+  for i = 0 to Dstruct.Intvec.length newly - 1 do
+    if Bitset.unsafe_add_new set (Dstruct.Intvec.unsafe_get newly i) then incr added
   done;
   !added
 
@@ -190,7 +165,6 @@ let rwalk =
         if params.walkers < 1 then invalid_arg "Kernel.rwalk: walkers >= 1";
         let seen = Bitset.create n in
         Bitset.add seen params.start;
-        let seen = seen.Bitset.words in
         let positions = Array.make params.walkers params.start in
         let remaining = ref (n - 1) in
         let rounds = ref 0 in
@@ -203,7 +177,7 @@ let rwalk =
                   Graph.View.unsafe_random_neighbour g rng (Array.unsafe_get positions w)
                 in
                 Array.unsafe_set positions w next;
-                if add_new seen next then decr left
+                if Bitset.unsafe_add_new seen next then decr left
               done;
               remaining := !left;
               incr rounds);
@@ -242,14 +216,14 @@ let push =
               for wi = 0 to Array.length words - 1 do
                 let cell = ref (Array.unsafe_get words wi) in
                 while !cell <> 0 do
-                  let u = member_at wi (ctz !cell) in
+                  let u = Bitset.member_at wi (Bitset.ctz !cell) in
                   let w = Graph.View.random_neighbour g rng u in
-                  if not (mem_word words w) then Dstruct.Intvec.push newly w;
+                  if not (Bitset.unsafe_mem informed w) then Dstruct.Intvec.push newly w;
                   cell := !cell land (!cell - 1)
                 done
               done;
               transmissions := !transmissions + !count;
-              count := !count + absorb words newly;
+              count := !count + absorb informed newly;
               incr rounds);
           is_complete = (fun () -> !count = n);
           rounds = (fun () -> !rounds);
@@ -283,15 +257,14 @@ let pull =
           step =
             (fun rng ->
               Dstruct.Intvec.clear newly;
-              let words = informed.Bitset.words in
               for u = 0 to n - 1 do
-                if not (mem_word words u) then begin
+                if not (Bitset.unsafe_mem informed u) then begin
                   let w = Graph.View.random_neighbour g rng u in
-                  if mem_word words w then Dstruct.Intvec.push newly u
+                  if Bitset.unsafe_mem informed w then Dstruct.Intvec.push newly u
                 end
               done;
               transmissions := !transmissions + (n - !count);
-              count := !count + absorb words newly;
+              count := !count + absorb informed newly;
               incr rounds);
           is_complete = (fun () -> !count = n);
           rounds = (fun () -> !rounds);
@@ -326,15 +299,15 @@ let push_pull =
           step =
             (fun rng ->
               Dstruct.Intvec.clear newly;
-              let words = informed.Bitset.words in
               for u = 0 to n - 1 do
                 let w = Graph.View.random_neighbour g rng u in
-                let iu = mem_word words u and iw = mem_word words w in
+                let iu = Bitset.unsafe_mem informed u in
+                let iw = Bitset.unsafe_mem informed w in
                 if iu && not iw then Dstruct.Intvec.push newly w
                 else if iw && not iu then Dstruct.Intvec.push newly u
               done;
               transmissions := !transmissions + n;
-              count := !count + absorb words newly;
+              count := !count + absorb informed newly;
               incr rounds);
           is_complete = (fun () -> !count = n);
           rounds = (fun () -> !rounds);

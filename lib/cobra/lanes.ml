@@ -29,23 +29,6 @@ module Lanemat = Dstruct.Lanemat
 let full = 0xFFFFFFFF
 let fi = float_of_int
 
-(* [Lanemat]'s row layout, written once for this module: row [v]'s lanes
-   0..31 are [cells.(2 * v)] ("lo"), lanes 32..63 [cells.(2 * v + 1)]
-   ("hi"). The pickers and steppers read and write rows through these,
-   which inline within the module; a [Lanemat] call would not. *)
-let[@inline] row_lo (cells : int array) v = Array.unsafe_get cells (2 * v)
-let[@inline] row_hi (cells : int array) v = Array.unsafe_get cells ((2 * v) + 1)
-let[@inline] set_row_lo (cells : int array) v x = Array.unsafe_set cells (2 * v) x
-let[@inline] set_row_hi (cells : int array) v x = Array.unsafe_set cells ((2 * v) + 1) x
-
-(* Trailing-zero count of a 32-bit cell, for walking set lane bits. *)
-let ctz x =
-  let x = (x land -x) - 1 in
-  let x = x - ((x lsr 1) land 0x55555555) in
-  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
-  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
-  (x * 0x01010101) lsr 24 land 0x3F
-
 type instance = {
   step : live_lo:int -> live_hi:int -> unit;
   done_mask : unit -> int * int;
@@ -137,12 +120,12 @@ module Slice = struct
      steppers skip whole pick rounds once neighbourhoods saturate. *)
   let nb_or_and p (members : Lanemat.t) ~v =
     let deg = Graph.View.unsafe_neighbours_into p.graph v p.nb in
-    let nb = p.nb and clo = p.clo and chi = p.chi and cells = members.cells in
+    let nb = p.nb and clo = p.clo and chi = p.chi in
     let or_lo = ref 0 and or_hi = ref 0 in
     let and_lo = ref full and and_hi = ref full in
     for d = 0 to deg - 1 do
       let w = Array.unsafe_get nb d in
-      let mlo = row_lo cells w and mhi = row_hi cells w in
+      let mlo = Lanemat.unsafe_lo members w and mhi = Lanemat.unsafe_hi members w in
       Array.unsafe_set clo d mlo;
       Array.unsafe_set chi d mhi;
       or_lo := !or_lo lor mlo;
@@ -241,7 +224,7 @@ module Slice = struct
      bit-plane per level (MSB first), so leaf [d] holds the lanes whose
      index is [d]: [2 * (1 lsl nbits)] words, then one OR per hit
      neighbour. *)
-  let scatter_one p gen ~base_lo ~base_hi (into : int array) =
+  let scatter_one p gen ~base_lo ~base_hi (into : Lanemat.t) =
     let nbits = p.nbits in
     Prng.Lanes.uniform_planes gen ~bound:p.deg ~nbits ~lo:p.lp ~hi:p.hp;
     let glo = p.glo and ghi = p.ghi in
@@ -262,8 +245,8 @@ module Slice = struct
       let el = Array.unsafe_get glo d and eh = Array.unsafe_get ghi d in
       if el lor eh <> 0 then begin
         let w = Array.unsafe_get nb d in
-        set_row_lo into w (row_lo into w lor el);
-        set_row_hi into w (row_hi into w lor eh)
+        Lanemat.unsafe_set_lo into w (Lanemat.unsafe_lo into w lor el);
+        Lanemat.unsafe_set_hi into w (Lanemat.unsafe_hi into w lor eh)
       end
     done
 
@@ -272,7 +255,6 @@ module Slice = struct
      neighbours. [v]'s neighbourhood is read once, for every pick. *)
   let scatter p gen ~v ~base_lo ~base_hi ~(into : Lanemat.t) =
     gather_ids p ~v;
-    let into = into.cells in
     match p.branching with
     | None | Some (Branching.Fixed 1) -> scatter_one p gen ~base_lo ~base_hi into
     | Some (Branching.Fixed k) ->
@@ -307,12 +289,12 @@ let run_batch t g params gen ~n_active ~cap =
     done_hi := !done_hi lor !new_hi;
     while !new_lo <> 0 do
       let bit = !new_lo land - !new_lo in
-      finish.(ctz bit) <- r;
+      finish.(Dstruct.Bitset.ctz bit) <- r;
       new_lo := !new_lo land lnot bit
     done;
     while !new_hi <> 0 do
       let bit = !new_hi land - !new_hi in
-      finish.(32 + ctz bit) <- r;
+      finish.(32 + Dstruct.Bitset.ctz bit) <- r;
       new_hi := !new_hi land lnot bit
     done
   in
@@ -366,7 +348,7 @@ let bips =
         {
           step =
             (fun ~live_lo ~live_hi ->
-              let cc = !cur.cells and nc = !nxt.cells in
+              let cm = !cur and nm = !nxt in
               let sat_lo = ref full and sat_hi = ref full in
               for u = 0 to n - 1 do
                 let hit_lo = ref full and hit_hi = ref full in
@@ -392,11 +374,11 @@ let bips =
                     hit_hi := out.hi
                   end
                 end;
-                let old_lo = row_lo cc u and old_hi = row_hi cc u in
+                let old_lo = Lanemat.unsafe_lo cm u and old_hi = Lanemat.unsafe_hi cm u in
                 let new_lo = (!hit_lo land live_lo) lor (old_lo land lnot live_lo) in
                 let new_hi = (!hit_hi land live_hi) lor (old_hi land lnot live_hi) in
-                set_row_lo nc u new_lo;
-                set_row_hi nc u new_hi;
+                Lanemat.unsafe_set_lo nm u new_lo;
+                Lanemat.unsafe_set_hi nm u new_hi;
                 sat_lo := !sat_lo land new_lo;
                 sat_hi := !sat_hi land new_hi
               done;
@@ -450,11 +432,10 @@ let cobra =
           step =
             (fun ~live_lo ~live_hi ->
               Lanemat.clear !nxt;
-              let fc = !frontier.cells and nc = !nxt.cells in
-              let vc = visited.cells in
+              let fm = !frontier and nm = !nxt in
               for v = 0 to n - 1 do
-                let base_lo = row_lo fc v land live_lo in
-                let base_hi = row_hi fc v land live_hi in
+                let base_lo = Lanemat.unsafe_lo fm v land live_lo in
+                let base_hi = Lanemat.unsafe_hi fm v land live_hi in
                 if base_lo lor base_hi <> 0 then
                   Slice.scatter picker gen ~v ~base_lo ~base_hi ~into:!nxt
               done;
@@ -463,13 +444,20 @@ let cobra =
                 (* Frozen lanes keep their frontier; live lanes take the
                    scattered picks. Visited absorbs the new frontier
                    (frozen rows are already subsets of visited). *)
-                let f_lo = (row_lo nc v land live_lo) lor (row_lo fc v land lnot live_lo) in
-                let f_hi = (row_hi nc v land live_hi) lor (row_hi fc v land lnot live_hi) in
-                set_row_lo nc v f_lo;
-                set_row_hi nc v f_hi;
-                let vis_lo = row_lo vc v lor f_lo and vis_hi = row_hi vc v lor f_hi in
-                set_row_lo vc v vis_lo;
-                set_row_hi vc v vis_hi;
+                let f_lo =
+                  (Lanemat.unsafe_lo nm v land live_lo)
+                  lor (Lanemat.unsafe_lo fm v land lnot live_lo)
+                in
+                let f_hi =
+                  (Lanemat.unsafe_hi nm v land live_hi)
+                  lor (Lanemat.unsafe_hi fm v land lnot live_hi)
+                in
+                Lanemat.unsafe_set_lo nm v f_lo;
+                Lanemat.unsafe_set_hi nm v f_hi;
+                let vis_lo = Lanemat.unsafe_lo visited v lor f_lo in
+                let vis_hi = Lanemat.unsafe_hi visited v lor f_hi in
+                Lanemat.unsafe_set_lo visited v vis_lo;
+                Lanemat.unsafe_set_hi visited v vis_hi;
                 cov_lo := !cov_lo land vis_lo;
                 cov_hi := !cov_hi land vis_hi
               done;
@@ -526,19 +514,22 @@ let push =
           step =
             (fun ~live_lo ~live_hi ->
               Lanemat.clear newly;
-              let ic = informed.cells and nc = newly.cells in
               for u = 0 to n - 1 do
-                let base_lo = row_lo ic u land live_lo in
-                let base_hi = row_hi ic u land live_hi in
+                let base_lo = Lanemat.unsafe_lo informed u land live_lo in
+                let base_hi = Lanemat.unsafe_hi informed u land live_hi in
                 if base_lo lor base_hi <> 0 then
                   Slice.scatter picker gen ~v:u ~base_lo ~base_hi ~into:newly
               done;
               let all_lo = ref full and all_hi = ref full in
               for u = 0 to n - 1 do
-                let i_lo = row_lo ic u lor (row_lo nc u land live_lo) in
-                let i_hi = row_hi ic u lor (row_hi nc u land live_hi) in
-                set_row_lo ic u i_lo;
-                set_row_hi ic u i_hi;
+                let i_lo =
+                  Lanemat.unsafe_lo informed u lor (Lanemat.unsafe_lo newly u land live_lo)
+                in
+                let i_hi =
+                  Lanemat.unsafe_hi informed u lor (Lanemat.unsafe_hi newly u land live_hi)
+                in
+                Lanemat.unsafe_set_lo informed u i_lo;
+                Lanemat.unsafe_set_hi informed u i_hi;
                 all_lo := !all_lo land i_lo;
                 all_hi := !all_hi land i_hi
               done;

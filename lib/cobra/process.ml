@@ -82,39 +82,22 @@ let visited_count p = p.visited_count
 let is_covered p = p.visited_count = Graph.View.n_vertices p.graph
 let transmissions p = p.transmissions
 
-(* [Bitset]'s layout, written once for the step: member [i] is bit
-   [i land 31] of [words.(i lsr 5)]. [add_new] adds [i] and returns
-   [true] iff it was not a member. *)
-let[@inline] add_new words i =
-  let wi = i lsr 5 and bit = 1 lsl (i land 31) in
-  let cell = Array.unsafe_get words wi in
-  cell land bit = 0
-  &&
-  (Array.unsafe_set words wi (cell lor bit);
-   true)
-
-let[@inline] remove_word words i =
-  let wi = i lsr 5 in
-  Array.unsafe_set words wi (Array.unsafe_get words wi land lnot (1 lsl (i land 31)))
-
-(* The step reads the frontier and the membership bitsets in place
-   (private records): one [Branching.picks_into] call per frontier
-   vertex, then no call per pick. Every [w] comes from the adjacency
-   arrays, so it is in range by construction. *)
+(* One [Branching.picks_into] call per frontier vertex, then the
+   unchecked (inlined) [Bitset] and [Intvec] helpers per pick. Every [w]
+   comes from the adjacency arrays, so it is in range by construction. *)
 let step p rng =
   let g = p.graph in
-  let picks = p.picks and in_next = p.in_next.Bitset.words in
-  let visited = p.visited.Bitset.words in
-  let frontier = p.frontier.Intvec.data in
+  let picks = p.picks and in_next = p.in_next and visited = p.visited in
+  let frontier = p.frontier in
   let visited_count = ref p.visited_count and transmissions = ref p.transmissions in
-  for i = 0 to p.frontier.Intvec.len - 1 do
-    let v = Array.unsafe_get frontier i in
+  for i = 0 to Intvec.length frontier - 1 do
+    let v = Intvec.unsafe_get frontier i in
     let c = Branching.picks_into p.branching rng g v picks in
     for j = 0 to c - 1 do
       let w = Array.unsafe_get picks j in
-      if add_new in_next w then begin
+      if Bitset.unsafe_add_new in_next w then begin
         Intvec.push p.next w;
-        if add_new visited w then incr visited_count
+        if Bitset.unsafe_add_new visited w then incr visited_count
       end
     done;
     transmissions := !transmissions + c
@@ -126,13 +109,13 @@ let step p rng =
      words (past that point the word fill writes less memory). Both paths
      leave the bitset empty and draw nothing from [rng]. Then swap both
      the vectors and their membership bitsets, keeping [active] O(1). *)
-  let in_frontier = p.in_frontier.Bitset.words in
-  let len = p.frontier.Intvec.len in
-  if len <= Array.length in_frontier then
+  let in_frontier = p.in_frontier in
+  let len = Intvec.length frontier in
+  if len <= Array.length in_frontier.Bitset.words then
     for i = 0 to len - 1 do
-      remove_word in_frontier (Array.unsafe_get frontier i)
+      Bitset.unsafe_remove in_frontier (Intvec.unsafe_get frontier i)
     done
-  else Bitset.clear p.in_frontier;
+  else Bitset.clear in_frontier;
   let old = p.frontier in
   p.frontier <- p.next;
   p.next <- old;

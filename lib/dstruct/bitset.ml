@@ -35,19 +35,28 @@ let remove s i =
   s.words.(w) <- s.words.(w) land lnot (1 lsl (i land mask))
 
 (* Check-free variants for simulation inner loops; [0 <= i < n] is the
-   caller's obligation. *)
-let unsafe_mem s i =
+   caller's obligation. [@inline], so the kernels' step loops compile to
+   the word arithmetic itself. *)
+let[@inline] unsafe_mem s i =
   Array.unsafe_get s.words (i lsr shift) land (1 lsl (i land mask)) <> 0
 
-let unsafe_add s i =
+let[@inline] unsafe_add s i =
   let w = i lsr shift in
   Array.unsafe_set s.words w (Array.unsafe_get s.words w lor (1 lsl (i land mask)))
 
-let unsafe_remove s i =
+let[@inline] unsafe_remove s i =
   let w = i lsr shift in
   Array.unsafe_set s.words w (Array.unsafe_get s.words w land lnot (1 lsl (i land mask)))
 
-let add_seq s xs = Seq.iter (add s) xs
+let[@inline] unsafe_add_new s i =
+  let w = i lsr shift and bit = 1 lsl (i land mask) in
+  let cell = Array.unsafe_get s.words w in
+  cell land bit = 0
+  &&
+  (Array.unsafe_set s.words w (cell lor bit);
+   true)
+
+let[@inline] member_at w b = (w lsl shift) + b
 
 let clear s = Array.fill s.words 0 (Array.length s.words) 0
 
@@ -60,7 +69,7 @@ let fill s =
     s.words.(nw - 1) <- (1 lsl used) - 1
   end
 
-let popcount x =
+let[@inline] popcount x =
   let x = x - ((x lsr 1) land 0x55555555) in
   let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
   let x = (x + (x lsr 4)) land 0x0F0F0F0F in
@@ -69,7 +78,7 @@ let popcount x =
 (* Trailing-zero count of a nonzero 32-bit cell: isolate the lowest set
    bit, turn it into a mask of everything below it, popcount the mask.
    Branch-free, and exact for cells up to 2^32 - 1. *)
-let ctz x = popcount ((x land -x) - 1)
+let[@inline] ctz x = popcount ((x land -x) - 1)
 
 let cardinal s = Array.fold_left (fun acc w -> acc + popcount w) 0 s.words
 
@@ -179,10 +188,3 @@ let next_member s i =
     (* Mask away the bits strictly below [i] in the first word. *)
     go w0 (Array.unsafe_get words w0 land lnot ((1 lsl (i land mask)) - 1))
   end
-
-let pp ppf s =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-       Format.pp_print_int)
-    (to_list s)

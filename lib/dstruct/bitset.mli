@@ -5,15 +5,10 @@
     O(capacity / word_size). Indices outside [0 .. capacity - 1] raise
     [Invalid_argument].
 
-    The record is [private]: a simulation step may test and set members
-    through [words] directly (bit [i land 31] of [words.(i lsr 5)]; see
-    {!word_size}) instead of calling {!unsafe_mem}/{!unsafe_add}, since
-    under dune's [-opaque] dev profile no call across modules is
-    inlined. Bits at or above [n] in the last word stay zero; a writer
-    must keep them so. The modules that rely on this layout, each
-    writing it once as local [@inline] helpers, are [Cobra.Kernel],
-    [Cobra.Process], [Cobra.Bips], [Epidemic.Sis] and [Epidemic.Seir];
-    a layout change must update them too. *)
+    Member [i] is bit [i mod word_size] of [words.(i / word_size)], and
+    bits at or above [n] in the last word stay zero (see {!iter_words}).
+    The record is [private] so a hot loop can scan [words] in place
+    (with {!ctz} and {!member_at}); only this module writes them. *)
 
 type t = private { words : int array; n : int }
 
@@ -36,15 +31,28 @@ val remove : t -> int -> unit
 (** [unsafe_mem], [unsafe_add], [unsafe_remove]: check-free variants of
     {!mem}/{!add}/{!remove} for simulation inner loops. Identical results
     for [0 <= i < capacity]; out-of-range indices are undefined
-    behaviour. *)
+    behaviour. They and the other word helpers below are inlined into
+    their callers. *)
 val unsafe_mem : t -> int -> bool
 
 val unsafe_add : t -> int -> unit
 
 val unsafe_remove : t -> int -> unit
 
-(** [add_seq s xs] inserts every element of [xs]. *)
-val add_seq : t -> int Seq.t -> unit
+(** [unsafe_add_new s i] adds [i] and is [true] iff [i] was not a
+    member. Unchecked, as {!unsafe_add}. *)
+val unsafe_add_new : t -> int -> bool
+
+(** [member_at w b] is the member that bit [b] of [words.(w)] stands
+    for. *)
+val member_at : int -> int -> int
+
+(** [popcount c] is the number of set bits of a 32-bit cell, and [ctz c]
+    the number of trailing zero bits of a nonzero one: the one copy for
+    [words], {!Lanemat} cells and [Graph.Implicit]'s hypercube labels. *)
+val popcount : int -> int
+
+val ctz : int -> int
 
 (** [clear s] removes every element. *)
 val clear : t -> unit
@@ -123,6 +131,3 @@ val of_list : int -> int list -> t
 
 (** [choose s] is the smallest element, or [None] if empty. *)
 val choose : t -> int option
-
-(** [pp] prints as [{e1, e2, ...}]. *)
-val pp : Format.formatter -> t -> unit

@@ -3,15 +3,14 @@ type t = { mutable data : int array; mutable len : int }
 let create ?(capacity = 16) () =
   { data = Array.make (max capacity 1) 0; len = 0 }
 
-let length v = v.len
+let[@inline] length v = v.len
 let is_empty v = v.len = 0
 
 let check v i =
   if i < 0 || i >= v.len then invalid_arg "Intvec: index out of range"
 
 let get v i = check v i; v.data.(i)
-let set v i x = check v i; v.data.(i) <- x
-let unsafe_get v i = Array.unsafe_get v.data i
+let[@inline] unsafe_get v i = Array.unsafe_get v.data i
 
 let ensure v needed =
   if needed > Array.length v.data then begin

@@ -1,12 +1,9 @@
 (** Growable arrays of unboxed integers.
 
     Amortised O(1) [push]; O(1) random access. Used as frontier buffers and
-    edge accumulators throughout the simulation engines.
+    edge accumulators throughout the simulation engines. *)
 
-    [private], so a hot loop can read [data.(0 .. len - 1)] in place;
-    only this module mutates it. *)
-
-type t = private { mutable data : int array; mutable len : int }
+type t
 
 (** [create ()] is an empty vector. [capacity] pre-allocates storage. *)
 val create : ?capacity:int -> unit -> t
@@ -19,9 +16,6 @@ val is_empty : t -> bool
 
 (** [get v i] is the [i]-th element; raises [Invalid_argument] out of range. *)
 val get : t -> int -> int
-
-(** [set v i x] replaces the [i]-th element. *)
-val set : t -> int -> int -> unit
 
 (** [push v x] appends [x]. *)
 val push : t -> int -> unit
@@ -55,5 +49,6 @@ val sort : t -> unit
 val swap : t -> int -> int -> unit
 
 (** [unsafe_get v i] skips the bounds check (callers must guarantee
-    [0 <= i < length v]). *)
+    [0 <= i < length v]). It and {!length} are inlined into their
+    callers. *)
 val unsafe_get : t -> int -> int

@@ -24,11 +24,12 @@ let check_lane lane =
   if lane < 0 || lane >= lanes then invalid_arg "Lanemat: lane out of range"
 
 (* Check-free row-cell accessors for the sliced steppers' inner loops;
-   [0 <= v < capacity] is the caller's obligation. *)
-let unsafe_lo m v = Array.unsafe_get m.cells (2 * v)
-let unsafe_hi m v = Array.unsafe_get m.cells ((2 * v) + 1)
-let unsafe_set_lo m v w = Array.unsafe_set m.cells (2 * v) (w land cell_mask)
-let unsafe_set_hi m v w = Array.unsafe_set m.cells ((2 * v) + 1) (w land cell_mask)
+   [0 <= v < capacity] is the caller's obligation. [@inline], so the
+   steppers compile to the cell arithmetic itself. *)
+let[@inline] unsafe_lo m v = Array.unsafe_get m.cells (2 * v)
+let[@inline] unsafe_hi m v = Array.unsafe_get m.cells ((2 * v) + 1)
+let[@inline] unsafe_set_lo m v w = Array.unsafe_set m.cells (2 * v) (w land cell_mask)
+let[@inline] unsafe_set_hi m v w = Array.unsafe_set m.cells ((2 * v) + 1) (w land cell_mask)
 
 let mem m v ~lane =
   check m v;
@@ -73,15 +74,6 @@ let fold_or m =
   done;
   (!lo, !hi)
 
-(* Reuse Bitset's 32-bit SWAR popcount/ctz discipline. *)
-let popcount x =
-  let x = x - ((x lsr 1) land 0x55555555) in
-  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
-  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
-  (x * 0x01010101) lsr 24 land 0x3F
-
-let ctz x = popcount ((x land -x) - 1)
-
 let count_lane m ~lane =
   check_lane lane;
   let sel v = if lane < block then unsafe_lo m v else unsafe_hi m v in
@@ -99,13 +91,13 @@ let counts m =
   for v = 0 to m.n - 1 do
     let cell = ref (unsafe_lo m v) in
     while !cell <> 0 do
-      let lane = ctz !cell in
+      let lane = Bitset.ctz !cell in
       out.(lane) <- out.(lane) + 1;
       cell := !cell land (!cell - 1)
     done;
     let cell = ref (unsafe_hi m v) in
     while !cell <> 0 do
-      let lane = block + ctz !cell in
+      let lane = block + Bitset.ctz !cell in
       out.(lane) <- out.(lane) + 1;
       cell := !cell land (!cell - 1)
     done

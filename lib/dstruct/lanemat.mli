@@ -14,12 +14,9 @@
     (completion masks, per-lane counts) are single passes over [2n]
     words. *)
 
-(** [private], as {!Bitset.t}: a sliced stepper reads and writes row
-    cells through [cells] directly ([cells.(2 * v)] lo, [cells.(2 * v + 1)]
-    hi). A writer must keep every cell within 32 bits. The modules that
-    rely on this layout, each writing it once as local [@inline]
-    helpers, are [Cobra.Lanes] and [Epidemic.Lanes]; a layout change
-    must update them too. *)
+(** [private], so the layout above can be read back; every cell is
+    written by this module and stays within 32 bits. The sliced steppers
+    go through the row-cell helpers below. *)
 type t = private { cells : int array; n : int }
 
 (** [lanes] is the number of replica lanes per row ([64]). *)
@@ -49,7 +46,8 @@ val blit : src:t -> dst:t -> unit
 
 (** {1 Check-free row-cell access}
 
-    The sliced steppers' inner loops read and write whole 32-lane cells.
+    The sliced steppers' inner loops read and write whole 32-lane cells
+    through these, which are inlined into their callers.
     [0 <= v < capacity] is the caller's obligation; writes keep only the
     low 32 bits of the given word. *)
 

@@ -11,14 +11,6 @@ module Slice = Cobra.Lanes.Slice
 let full = 0xFFFFFFFF
 let fi = float_of_int
 
-(* [Lanemat]'s row layout, written once for the stepper: row [v]'s lanes
-   0..31 are [cells.(2 * v)], lanes 32..63 [cells.(2 * v + 1)]. These
-   inline within the module; a [Lanemat] call would not. *)
-let[@inline] row_lo (cells : int array) v = Array.unsafe_get cells (2 * v)
-let[@inline] row_hi (cells : int array) v = Array.unsafe_get cells ((2 * v) + 1)
-let[@inline] set_row_lo (cells : int array) v x = Array.unsafe_set cells (2 * v) x
-let[@inline] set_row_hi (cells : int array) v x = Array.unsafe_set cells ((2 * v) + 1) x
-
 let sis =
   {
     Cobra.Lanes.name = "sis";
@@ -53,10 +45,9 @@ let sis =
             (fun ~live_lo ~live_hi ->
               let or_lo = ref 0 and or_hi = ref 0 in
               let evf_lo = ref full and evf_hi = ref full in
-              let cc = !cur.Lanemat.cells and nc = !nxt.Lanemat.cells in
-              let ec = ever.Lanemat.cells in
+              let cm = !cur and nm = !nxt in
               for u = 0 to n - 1 do
-                let old_lo = row_lo cc u and old_hi = row_hi cc u in
+                let old_lo = Lanemat.unsafe_lo cm u and old_hi = Lanemat.unsafe_hi cm u in
                 let comp_lo = ref full and comp_hi = ref full in
                 if u <> pers then begin
                   (* Recovery: one Bernoulli mask, applied only to the
@@ -97,11 +88,12 @@ let sis =
                 end;
                 let new_lo = (!comp_lo land live_lo) lor (old_lo land lnot live_lo) in
                 let new_hi = (!comp_hi land live_hi) lor (old_hi land lnot live_hi) in
-                set_row_lo nc u new_lo;
-                set_row_hi nc u new_hi;
-                let ev_lo = row_lo ec u lor new_lo and ev_hi = row_hi ec u lor new_hi in
-                set_row_lo ec u ev_lo;
-                set_row_hi ec u ev_hi;
+                Lanemat.unsafe_set_lo nm u new_lo;
+                Lanemat.unsafe_set_hi nm u new_hi;
+                let ev_lo = Lanemat.unsafe_lo ever u lor new_lo in
+                let ev_hi = Lanemat.unsafe_hi ever u lor new_hi in
+                Lanemat.unsafe_set_lo ever u ev_lo;
+                Lanemat.unsafe_set_hi ever u ev_hi;
                 or_lo := !or_lo lor new_lo;
                 or_hi := !or_hi lor new_hi;
                 evf_lo := !evf_lo land ev_lo;

@@ -127,11 +127,6 @@ let expose p v gen =
     p.infectious_count <- p.infectious_count + 1
   end
 
-(* [Bitset]'s layout, written once for the step: member [i] is bit
-   [i land 31] of [words.(i lsr 5)]. *)
-let[@inline] mem_word words i =
-  Array.unsafe_get words (i lsr 5) land (1 lsl (i land 31)) <> 0
-
 let step p rng =
   let g = p.graph in
   let n = Graph.View.n_vertices g in
@@ -148,7 +143,7 @@ let step p rng =
      [Branching.picks_into] call per susceptible vertex, no call per
      pick. *)
   let status = p.status and timer = p.timer and gen = p.gen in
-  let snapshot = p.snapshot.Bitset.words and picks = p.picks in
+  let snapshot = p.snapshot and picks = p.picks in
   for v = 0 to n - 1 do
     match Array.unsafe_get status v with
     | Recovered -> ()
@@ -177,7 +172,7 @@ let step p rng =
       let src = ref max_int in
       for j = 0 to c - 1 do
         let w = Array.unsafe_get picks j in
-        if mem_word snapshot w then begin
+        if Bitset.unsafe_mem snapshot w then begin
           let gw = Array.unsafe_get gen w in
           if gw < !src then src := gw
         end

@@ -55,34 +55,16 @@ let infected_count p = p.infected_count
 let ever_infected_count p = p.ever_count
 let is_extinct p = p.infected_count = 0
 
-(* [Bitset]'s layout, written once for the step: member [i] is bit
-   [i land 31] of [words.(i lsr 5)]. [add_new] adds [i] and returns
-   [true] iff it was not a member. *)
-let[@inline] mem_word words i =
-  Array.unsafe_get words (i lsr 5) land (1 lsl (i land 31)) <> 0
-
-let[@inline] add_word words i =
-  let wi = i lsr 5 in
-  Array.unsafe_set words wi (Array.unsafe_get words wi lor (1 lsl (i land 31)))
-
-let[@inline] add_new words i =
-  let wi = i lsr 5 and bit = 1 lsl (i land 31) in
-  let cell = Array.unsafe_get words wi in
-  cell land bit = 0
-  &&
-  (Array.unsafe_set words wi (cell lor bit);
-   true)
-
 let step p rng =
   let g = p.graph in
   let n = Graph.View.n_vertices g in
   Bitset.clear p.next;
   let count = ref 0 and ever_count = ref p.ever_count in
   (* All indices below are loop counters in [0, n) or adjacency entries,
-     so the in-place word reads and writes are in range. One
+     so the unchecked [Bitset] reads and writes are in range. One
      [Branching.picks_into] call per exposed vertex, no call per pick. *)
-  let infected = p.infected.Bitset.words and next = p.next.Bitset.words in
-  let ever = p.ever.Bitset.words and picks = p.picks in
+  let infected = p.infected and next = p.next in
+  let ever = p.ever and picks = p.picks in
   let recovery = p.params.recovery in
   let pers = match p.persistent with Some v -> v | None -> -1 in
   (* Round order: recovery first, then exposure of everyone currently
@@ -92,19 +74,19 @@ let step p rng =
   for u = 0 to n - 1 do
     let infect =
       pers = u
-      || mem_word infected u && not (Prng.Rng.bernoulli rng recovery)
+      || Bitset.unsafe_mem infected u && not (Prng.Rng.bernoulli rng recovery)
       ||
       let c = Cobra.Branching.picks_into p.params.contacts rng g u picks in
       let hit = ref false in
       for j = 0 to c - 1 do
-        if mem_word infected (Array.unsafe_get picks j) then hit := true
+        if Bitset.unsafe_mem infected (Array.unsafe_get picks j) then hit := true
       done;
       !hit
     in
     if infect then begin
-      add_word next u;
+      Bitset.unsafe_add next u;
       incr count;
-      if add_new ever u then incr ever_count
+      if Bitset.unsafe_add_new ever u then incr ever_count
     end
   done;
   let old = p.infected in

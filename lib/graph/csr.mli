@@ -7,9 +7,9 @@
     type in the repository; every process engine and every generator
     produces or consumes it.
 
-    The record is [private] so that {!View} can read the two arrays in
-    its hot accessors without a call per read; it cannot be built or
-    mutated outside this module. *)
+    The record is [private] so that {!View}, the one module with
+    per-backend code, can read the two arrays in its hot accessors; it
+    cannot be built or mutated outside this module. *)
 
 type t = private {
   n : int;

@@ -166,12 +166,6 @@ let iter_hypercube d v f =
     if (v lsr b) land 1 = 0 then f (v lor (1 lsl b))
   done
 
-let popcount x =
-  let x = x - ((x lsr 1) land 0x5555_5555) in
-  let x = (x land 0x3333_3333) + ((x lsr 2) land 0x3333_3333) in
-  let x = (x + (x lsr 4)) land 0x0F0F_0F0F in
-  (x * 0x0101_0101) lsr 24 land 0x3F
-
 (* Bit position of the (k+1)-th set bit of [v] scanning down from
    [b]; total number of set bits below [b]+1 must exceed [k]. *)
 let rec kth_set_below v b k =
@@ -186,7 +180,7 @@ let rec kth_clear_above v b k =
   else kth_clear_above v (b + 1) k
 
 let nth_hypercube d v i =
-  let s = popcount v in
+  let s = Dstruct.Bitset.popcount v in
   if i < s then v lxor (1 lsl kth_set_below v (d - 1) i)
   else v lor (1 lsl kth_clear_above v 0 (i - s))
 

@@ -85,11 +85,8 @@ let regularity t =
 (* ---------- unchecked accessors (simulation inner loops) ---------- *)
 
 (* The heap and bigarray arms read the CSR arrays themselves ([Csr.t]
-   and [Bigcsr.t] are private records): every module is compiled
-   [-opaque] under dune's dev profile, so a call into [Csr] or [Bigcsr]
-   would be an indirect call that is never inlined. On those backends
-   these accessors make no call beyond [unsafe_random_neighbour]'s one
-   [Prng.Rng.int] draw. *)
+   and [Bigcsr.t] are private records), so all the per-backend code of
+   a kernel step is here. *)
 
 let[@inline] unsafe_degree t v =
   match t.repr with

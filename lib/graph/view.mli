@@ -70,13 +70,10 @@ val bfs : t -> int -> int array
 (** {1 Unchecked accessors}
 
     As {!Csr}'s: identical results for in-range arguments, undefined
-    behaviour otherwise. These are the simulation inner loops. On the
-    heap and bigarray backends they read the CSR arrays in place and
-    make no call except {!unsafe_random_neighbour}'s one
-    [Prng.Rng.int] draw: dune's dev profile compiles every module
-    [-opaque], so nothing across a module boundary is inlined, and the
+    behaviour otherwise. These are the simulation inner loops, and the
     per-backend code a kernel step needs lives here, not in the
-    kernels. *)
+    kernels: one dispatch on the representation per call, then on the
+    heap and bigarray backends a read of the CSR arrays in place. *)
 
 val unsafe_degree : t -> int -> int
 

@@ -84,19 +84,13 @@ let create seeds =
     hi = 0;
   }
 
-let golden = Splitmix.golden
-let mult_a = Splitmix.mult_a
-let mult_b = Splitmix.mult_b
-
-(* One block's 32 draws, [Splitmix.next] inlined: lane [j]'s low 32
+(* One block's 32 draws, each a [Splitmix.next] step: lane [j]'s low 32
    bits land in row [off + block - 1 - j]. *)
 let draw_block states planes off =
   for j = 0 to block - 1 do
-    let s = Array.unsafe_get states (off + j) + golden in
+    let s = Array.unsafe_get states (off + j) + Splitmix.golden in
     Array.unsafe_set states (off + j) s;
-    let z = (s lxor (s lsr 30)) * mult_a in
-    let z = (z lxor (z lsr 27)) * mult_b in
-    Array.unsafe_set planes (off + block - 1 - j) ((z lxor (z lsr 31)) land full)
+    Array.unsafe_set planes (off + block - 1 - j) (Splitmix.mix s land full)
   done
 
 (* The HD transpose numbers matrix columns from the most significant

@@ -43,17 +43,21 @@ let[@inline] bits62 t = next t land max_int
    [x - x mod bound, x - x mod bound + bound) lies in [0, 2^62), i.e.
    iff [x - x mod bound <= top] with [top = max_int - bound + 1]. That
    keeps exactly the [x <= max_int - (2^62 mod bound)] of the textbook
-   form, with one division per draw instead of three. Top-level, so a
-   draw allocates no closure. *)
-let rec draw_below t bound top =
-  let x = bits62 t in
-  let r = x mod bound in
-  if x - r <= top then r else draw_below t bound top
-
-let int t bound =
+   form, with one division per draw instead of three. The rejection is a
+   loop, so [int] inlines into its callers whole. *)
+let[@inline] int t bound =
   if bound <= 0 then invalid_arg "Splitmix.int: bound must be positive";
   if bound land (bound - 1) = 0 then bits62 t land (bound - 1)
-  else draw_below t bound (max_int - bound + 1)
+  else begin
+    let top = max_int - bound + 1 in
+    let x = ref (bits62 t) in
+    let r = ref (!x mod bound) in
+    while !x - !r > top do
+      x := bits62 t;
+      r := !x mod bound
+    done;
+    !r
+  end
 
 let two_pow_53 = 9007199254740992.0
 
@@ -61,6 +65,7 @@ let[@inline] float t = Float.of_int (bits62 t lsr 9) /. two_pow_53
 
 (* Here rather than in [Rng], which re-exports it: the comparison then
    reads the draw unboxed instead of a float boxed by a call. *)
-let bernoulli t p = if p <= 0.0 then false else if p >= 1.0 then true else float t < p
+let[@inline] bernoulli t p =
+  if p <= 0.0 then false else if p >= 1.0 then true else float t < p
 
 let bool t = next t land 1 = 1

@@ -46,18 +46,11 @@ val bool : t -> bool
 
 (** {1 The raw stream}
 
-    For a consumer that must inline the generator in its own loop
-    ({!Lanes}' refill, where a call per draw costs more than the draw
-    itself, since no call across modules is inlined under [-opaque]).
-    [create seed] starts from state [mix (seed + golden)]; [next] adds
-    [golden] to the state and returns [mix] of the result, where [mix z]
-    is [z lxor (z lsr 31)] after [z := (z lxor (z lsr 30)) * mult_a] and
-    [z := (z lxor (z lsr 27)) * mult_b]. *)
+    For a consumer that keeps many streams' states in one array
+    ({!Lanes}): [create seed] starts from state [mix (seed + golden)],
+    and [next] adds [golden] to the state and returns [mix] of the
+    result. [mix] is inlined into its callers. *)
 
 val golden : int
-
-val mult_a : int
-
-val mult_b : int
 
 val mix : int -> int

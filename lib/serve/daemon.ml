@@ -664,6 +664,11 @@ let run config =
   | Error _ as e -> e
   | Ok () when lanes < 1 ->
     Error (Printf.sprintf "domains must be at least 1 (got %d)" lanes)
+  (* With no job slot, an admitted job would stay queued forever. *)
+  | Ok () when config.max_jobs < 1 ->
+    Error (Printf.sprintf "max_jobs must be at least 1 (got %d)" config.max_jobs)
+  | Ok () when config.queue_depth < 0 ->
+    Error (Printf.sprintf "queue_depth must be at least 0 (got %d)" config.queue_depth)
   | Ok () -> (
     Simkit.Fsutil.mkdir_p (Filename.dirname config.socket);
     let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in

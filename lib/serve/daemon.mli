@@ -73,6 +73,7 @@ val default_config : socket:string -> config
     request arrives (in-flight cells finish and are checkpointed, every
     lane domain is joined, and unfinished jobs end [cancelled]; queued
     cells stay pending for a resubmission with [resume]). Returns
-    [Error _] without serving if [domains] is below 1 or the socket
-    path is already live or cannot be bound. *)
+    [Error _] without serving if [domains] or [max_jobs] is below 1,
+    [queue_depth] is negative, or the socket path is already live or
+    cannot be bound. *)
 val run : config -> (unit, string) result

@@ -35,22 +35,9 @@ let rec collect_rows acc = function
     | Ok r -> collect_rows (r :: acc) rest
     | Error _ as e -> e)
 
-(* Legacy flat form: every member is "name": ns. Written by the harness
-   before the schema existed; still accepted so old snapshots remain
-   comparable. *)
-let of_legacy fields =
-  let rec go acc = function
-    | [] -> Ok { rows = List.rev acc }
-    | (name, v) :: rest -> (
-      match Json.to_number v with
-      | Some ns -> go ({ name; ns } :: acc) rest
-      | None -> Error "Benchfile: legacy file member is not a number")
-  in
-  go [] fields
-
 let of_json j =
   match j with
-  | Json.Obj fields -> (
+  | Json.Obj _ -> (
     match Json.member "schema" j with
     | Some (Json.String s) when s = schema -> (
       match Option.bind (Json.member "rows" j) Json.to_list with
@@ -61,7 +48,7 @@ let of_json j =
         | Error _ as e -> e))
     | Some (Json.String s) -> Error (Printf.sprintf "Benchfile: unknown schema %S" s)
     | Some _ -> Error "Benchfile: \"schema\" must be a string"
-    | None -> of_legacy fields)
+    | None -> Error "Benchfile: missing \"schema\"")
   | _ -> Error "Benchfile: document must be an object"
 
 let write path t =

@@ -25,9 +25,8 @@ val section_of : string -> string
     ..., "ns": ...}, ...]}]. *)
 val to_json : t -> Json.t
 
-(** Accepts the versioned form and, for files written before the schema
-    existed, the legacy flat object [{"bench-name": ns, ...}]. Unknown
-    schemas and malformed rows are errors. *)
+(** Accepts the versioned form only. A missing or unknown schema and a
+    malformed row are errors. *)
 val of_json : Json.t -> (t, string) result
 
 (** [write path t] saves the versioned document, pretty-printed. *)

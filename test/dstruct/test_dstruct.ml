@@ -98,8 +98,8 @@ let test_bitset_capacity_mismatch () =
     (Invalid_argument "Bitset.union_into: capacity mismatch") (fun () ->
       Bitset.union_into ~src:a ~dst:b)
 
-(* The layout the kernel steps read and write in place (bitset.mli lists
-   them): member [i] is bit [i land 31] of [words.(i lsr 5)]. *)
+(* The layout behind [words] and the hot-loop helpers: member [i] is bit
+   [i land 31] of [words.(i lsr 5)]. *)
 let test_bitset_words_layout () =
   let s = Bitset.create 100 in
   List.iter (Bitset.add s) [ 0; 31; 32; 70; 99 ];
@@ -107,7 +107,20 @@ let test_bitset_words_layout () =
     Alcotest.(array int)
     "words"
     [| 1 lor (1 lsl 31); 1; 1 lsl 6; 1 lsl 3 |]
-    s.Bitset.words
+    s.Bitset.words;
+  (* [unsafe_add_new] is true exactly once per member, and [member_at]
+     inverts the layout. *)
+  let t = Bitset.create 100 in
+  let firsts =
+    List.map (Bitset.unsafe_add_new t) [ 0; 31; 32; 70; 99; 70; 0; 99; 31; 32 ]
+  in
+  check Alcotest.(list bool) "add_new once"
+    [ true; true; true; true; true; false; false; false; false; false ]
+    firsts;
+  check Alcotest.bool "add_new adds" true (Bitset.equal s t);
+  check Alcotest.(list int) "member_at" [ 0; 31; 32; 70; 99 ]
+    [ Bitset.member_at 0 0; Bitset.member_at 0 31; Bitset.member_at 1 0;
+      Bitset.member_at 2 6; Bitset.member_at 3 3 ]
 
 (* Property: bitset behaves like a reference implementation over int
    sets. *)
@@ -230,6 +243,32 @@ let bitset_iter_words_prop =
       !ok
       && List.rev !word_indices = List.init expected_words Fun.id
       && decoded = model)
+
+(* The one [popcount]/[ctz] (on 32-bit cells) against a bit loop, on
+   random cells and on every single-bit cell. *)
+let bitset_popcount_ctz_prop =
+  let naive_popcount c =
+    let k = ref 0 in
+    for b = 0 to 31 do
+      if (c lsr b) land 1 = 1 then incr k
+    done;
+    !k
+  in
+  let naive_ctz c =
+    let b = ref 0 in
+    while (c lsr !b) land 1 = 0 do
+      incr b
+    done;
+    !b
+  in
+  QCheck.Test.make ~name:"popcount and ctz agree with a bit loop" ~count:500
+    QCheck.(pair (int_bound 0xFFFF) (int_bound 0xFFFF))
+    (fun (hi, lo) ->
+      let agree c =
+        Bitset.popcount c = naive_popcount c && (c = 0 || Bitset.ctz c = naive_ctz c)
+      in
+      agree ((hi lsl 16) lor lo)
+      && List.for_all (fun b -> agree (1 lsl b)) (List.init 32 Fun.id))
 
 let bitset_setops_idempotent_prop =
   QCheck.Test.make ~name:"union/inter/diff_into are idempotent" ~count:300
@@ -384,14 +423,23 @@ let test_lanemat_cells () =
   check Alcotest.bool "empty and vacuously full" true
     (Lanemat.fold_and m = (0, 0) && Lanemat.fold_and (Lanemat.create 0) = (0xFFFFFFFF, 0xFFFFFFFF))
 
-(* The layout the sliced steppers read and write in place (lanemat.mli
-   lists them): row [v]'s lanes 0..31 are [cells.(2 * v)], lanes 32..63
-   [cells.(2 * v + 1)]. *)
+(* The layout behind the row-cell helpers: row [v]'s lanes 0..31 are
+   [cells.(2 * v)], lanes 32..63 [cells.(2 * v + 1)]. *)
 let test_lanemat_cells_layout () =
   let m = Lanemat.create 3 in
   Lanemat.add m 1 ~lane:5;
   Lanemat.add m 2 ~lane:40;
-  check Alcotest.(array int) "cells" [| 0; 0; 1 lsl 5; 0; 0; 1 lsl 8 |] m.Lanemat.cells
+  check Alcotest.(array int) "cells" [| 0; 0; 1 lsl 5; 0; 0; 1 lsl 8 |] m.Lanemat.cells;
+  (* The row helpers round-trip each block without touching the other. *)
+  Lanemat.unsafe_set_lo m 0 0x12345678;
+  Lanemat.unsafe_set_hi m 0 0x9ABCDEF0;
+  check Alcotest.(pair int int) "row 0 round-trips" (0x12345678, 0x9ABCDEF0)
+    (Lanemat.unsafe_lo m 0, Lanemat.unsafe_hi m 0);
+  check Alcotest.(pair int int) "rows 1 and 2 read back" (1 lsl 5, 1 lsl 8)
+    (Lanemat.unsafe_lo m 1, Lanemat.unsafe_hi m 2);
+  check Alcotest.(array int) "cells after"
+    [| 0x12345678; 0x9ABCDEF0; 1 lsl 5; 0; 0; 1 lsl 8 |]
+    m.Lanemat.cells
 
 let test_lanemat_blit_checks () =
   let a = Lanemat.create 5 and b = Lanemat.create 5 in
@@ -546,6 +594,7 @@ let () =
           qtest bitset_choose_next_member_prop;
           qtest bitset_iter_words_prop;
           qtest bitset_setops_idempotent_prop;
+          qtest bitset_popcount_ctz_prop;
         ] );
       ( "lanemat",
         [

@@ -360,6 +360,22 @@ let test_quota_and_error_kinds () =
       expect_error ~kind:Protocol.Unknown_job
         (Client.request ~socket (Protocol.Cancel { job = "job-999999" })))
 
+(* A daemon with no job slot (or a negative queue) would admit jobs that
+   never run: [run] refuses the config before it binds the socket. *)
+let test_no_job_slot_is_refused () =
+  List.iter
+    (fun (what, config) ->
+      let dir = fresh_dir () in
+      let socket = Filename.concat dir "d.sock" in
+      (match Daemon.run (config (Daemon.default_config ~socket)) with
+      | Ok () -> Alcotest.failf "%s: daemon ran" what
+      | Error _ -> ());
+      check Alcotest.bool (what ^ ": no socket file") false (Sys.file_exists socket))
+    [
+      ("max_jobs 0", fun c -> { c with Daemon.max_jobs = 0 });
+      ("queue_depth -1", fun c -> { c with Daemon.queue_depth = -1 });
+    ]
+
 let test_inflight_quota () =
   with_daemon
     ~config:(fun c -> { c with Daemon.max_inflight_per_client = n_cells })
@@ -695,6 +711,8 @@ let () =
             test_status_after_resume_with_a_corrupt_checkpoint;
           Alcotest.test_case "malformed number in a frame is a bad request" `Quick
             test_malformed_number_is_a_bad_request;
+          Alcotest.test_case "no job slot is refused before binding" `Quick
+            test_no_job_slot_is_refused;
         ] );
       ( "lanes",
         [

@@ -49,11 +49,8 @@ let test_benchfile_legacy_and_errors () =
     | Ok j -> Benchfile.of_json j
     | Error e -> Error e
   in
-  (match decode {|{"a/x": 10.0, "b/y": 20}|} with
-  | Ok { rows = [ a; b ] } ->
-    check Alcotest.string "legacy row 1" "a/x" a.Benchfile.name;
-    check (Alcotest.float 0.0) "legacy int widens" 20.0 b.Benchfile.ns
-  | _ -> Alcotest.fail "legacy flat file must decode");
+  check Alcotest.bool "flat object without schema rejected" true
+    (Result.is_error (decode {|{"a/x": 10.0, "b/y": 20}|}));
   check Alcotest.bool "unknown schema rejected" true
     (Result.is_error (decode {|{"schema": "cobra.bench/9", "rows": []}|}));
   check Alcotest.bool "bad row rejected" true

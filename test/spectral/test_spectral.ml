@@ -311,17 +311,34 @@ let test_cut_conductance () =
     (Invalid_argument "Cheeger.cut_conductance: zero-volume side") (fun () ->
       ignore (Cheeger.cut_conductance g (Dstruct.Bitset.create 8)))
 
+(* Both Cheeger bounds on the random [r]-regular graph on 12 vertices
+   drawn from [seed]. lambda_2 comes from Lanczos, whose 11 steps span
+   the whole deflated space at n = 12, so it is exact to rounding: the
+   bounds can be tight (phi = 0.25 at lambda_2 = 0.5), and power
+   iteration's stopping rule leaves an error above the 1e-9 slack. *)
+let cheeger_holds (seed, r) =
+  let rng = Rng.create seed in
+  let n = 12 in
+  let g = Gen.random_regular rng ~n ~r in
+  let phi = Cheeger.conductance_exact (csr g) in
+  let l2 = (Lanczos.extremes (Rng.split rng) g).Lanczos.lambda_2 in
+  Cheeger.cheeger_lower ~lambda_2:l2 <= phi +. 1e-9
+  && phi <= Cheeger.cheeger_upper ~lambda_2:l2 +. 1e-9
+
 let cheeger_inequality_prop =
   QCheck.Test.make ~name:"Cheeger inequality on random regular graphs" ~count:20
     QCheck.(pair (int_range 0 10_000) (int_range 3 5))
-    (fun (seed, r) ->
-      let rng = Rng.create seed in
-      let n = 12 in
-      let g = Gen.random_regular rng ~n ~r in
-      let phi = Cheeger.conductance_exact (csr g) in
-      let l2 = (Power.lambda_2 (Rng.split rng) g).Power.value in
-      Cheeger.cheeger_lower ~lambda_2:l2 <= phi +. 1e-9
-      && phi <= Cheeger.cheeger_upper ~lambda_2:l2 +. 1e-9)
+    cheeger_holds
+
+(* Cases where the lower bound is tight; power iteration's lambda_2
+   broke it by 2.5e-9 and 5.5e-9. *)
+let test_cheeger_tight_cases () =
+  List.iter
+    (fun ((seed, r) as case) ->
+      check Alcotest.bool
+        (Printf.sprintf "seed %d, r = %d" seed r)
+        true (cheeger_holds case))
+    [ (6845, 4); (8565, 4) ]
 
 let () =
   Alcotest.run "spectral"
@@ -367,6 +384,7 @@ let () =
           Alcotest.test_case "known conductances" `Quick test_conductance_known;
           Alcotest.test_case "cut conductance" `Quick test_cut_conductance;
           qtest cheeger_inequality_prop;
+          Alcotest.test_case "tight cases" `Quick test_cheeger_tight_cases;
         ] );
       ( "gap",
         [
