@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check exp-determinism sweep-smoke sweep-smoke-bigarray serve-smoke bench \
+.PHONY: all build test check exp-determinism sweep-determinism sweep-smoke sweep-smoke-bigarray serve-smoke bench \
 	bench-standard bench-json bench-scale bench-scale-smoke bench-lanes \
 	bench-lanes-smoke bench-compare examples clean
 
@@ -33,6 +33,21 @@ exp-determinism:
 	COBRA_DOMAINS=2 dune exec bin/main.exe -- exp --scale quick --format json --out _results/det-2 > /dev/null
 	diff -r -I '"elapsed_s"' -I '"domains"' _results/det-1 _results/det-2
 	@echo "exp-determinism: artifacts identical at COBRA_DOMAINS 1 and 2"
+
+# Campaign artifacts must not depend on the domain count either, and the
+# cells of a grid share one graph per spec across domains: the smoke
+# grids below (heap and bigarray) swept at COBRA_DOMAINS=1 and at
+# COBRA_DOMAINS=2 must write identical directories apart from the
+# wall-clock event log.
+sweep-determinism:
+	rm -rf _results/sweep-det _results/sweep-det-big
+	for d in 1 2; do \
+	  COBRA_DOMAINS=$$d dune exec bin/main.exe -- sweep --grid '$(SMOKE_GRID)' --out _results/sweep-det/$$d --seed 5 > /dev/null || exit 1; \
+	  COBRA_DOMAINS=$$d dune exec bin/main.exe -- sweep --grid '$(SMOKE_GRID_BIG)' --out _results/sweep-det-big/$$d --seed 5 > /dev/null || exit 1; \
+	done
+	diff -r -x events.jsonl _results/sweep-det/1 _results/sweep-det/2
+	diff -r -x events.jsonl _results/sweep-det-big/1 _results/sweep-det-big/2
+	@echo "sweep-determinism: campaigns identical at COBRA_DOMAINS 1 and 2"
 
 # End-to-end crash/resume drill for the sweep subsystem: run a tiny
 # campaign to completion, then the same campaign interrupted after 3

@@ -348,11 +348,13 @@ let serve_cmd =
         domains;
       }
     in
-    Printf.printf "cobra serve: listening on %s (%s)\n%!" socket
-      (match cache with
-      | Some d -> "cache " ^ d
-      | None -> "no result cache");
-    match Serve.Daemon.run config with
+    let ready () =
+      Printf.printf "cobra serve: listening on %s (%s)\n%!" socket
+        (match cache with
+        | Some d -> "cache " ^ d
+        | None -> "no result cache")
+    in
+    match Serve.Daemon.run ~ready config with
     | Ok () ->
       Printf.printf "cobra serve: shut down\n";
       0

@@ -650,7 +650,7 @@ let poke path =
   (try Unix.connect fd (Unix.ADDR_UNIX path) with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let run config =
+let run ?(ready = ignore) config =
   (* Clients can vanish mid-reply (Ctrl-C during [client watch]);
      without this, the first write to the closed socket would
      SIGPIPE-kill the whole daemon — and every running campaign —
@@ -679,6 +679,7 @@ let run config =
         (Printf.sprintf "cannot bind %s: %s" config.socket (Unix.error_message e))
     | () ->
       Unix.listen listener 16;
+      ready ();
       let t =
         {
           config;

@@ -69,11 +69,13 @@ type config = {
     domain count. *)
 val default_config : socket:string -> config
 
-(** [run config] starts the daemon and blocks until a [shutdown]
+(** [run ?ready config] starts the daemon and blocks until a [shutdown]
     request arrives (in-flight cells finish and are checkpointed, every
     lane domain is joined, and unfinished jobs end [cancelled]; queued
     cells stay pending for a resubmission with [resume]). Returns
     [Error _] without serving if [domains] or [max_jobs] is below 1,
     [queue_depth] is negative, or the socket path is already live or
-    cannot be bound. *)
-val run : config -> (unit, string) result
+    cannot be bound. [ready] (default: nothing) is called once, when
+    the socket is listening and before any request is served; a refused
+    start never calls it. *)
+val run : ?ready:(unit -> unit) -> config -> (unit, string) result

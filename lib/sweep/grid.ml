@@ -283,19 +283,76 @@ let params_meta ?(engine = `Scalar) ?(backend = `Heap) trials base =
       ("cap", (match base.K.cap with Some c -> Json.Int c | None -> Json.Null));
     ])
 
+(* The graphs of one [cells] list, one view per (spec, master). A view
+   is immutable and a pure function of (master, spec, backend), so the
+   cells of a spec share the first one built instead of each building
+   its own. An entry counts the cells holding or waiting for its view.
+   When a cell asks for a key, every idle entry of another key is
+   dropped, and an entry left idle after another key was asked for is
+   dropped on release; so apart from the graph asked for last, only
+   graphs that running cells hold stay alive, no more than one per
+   domain, as when every cell built its own. [mu] guards the table,
+   [latest] and the counts. An entry's [build] lock is held only while
+   its view is built, never while a kernel runs. A failed build leaves
+   [view] empty, so each cell of the spec fails with its own error. *)
+type entry = { build : Mutex.t; mutable view : Graph.View.t option; mutable holders : int }
+
+type graphs = {
+  mu : Mutex.t;
+  entries : (string * int, entry) Hashtbl.t;
+  mutable latest : (string * int) option;
+}
+
+let with_graph graphs key ~build f =
+  Mutex.lock graphs.mu;
+  graphs.latest <- Some key;
+  Hashtbl.filter_map_inplace
+    (fun k e -> if e.holders = 0 && k <> key then None else Some e)
+    graphs.entries;
+  let e =
+    match Hashtbl.find_opt graphs.entries key with
+    | Some e -> e
+    | None ->
+      let e = { build = Mutex.create (); view = None; holders = 0 } in
+      Hashtbl.add graphs.entries key e;
+      e
+  in
+  e.holders <- e.holders + 1;
+  Mutex.unlock graphs.mu;
+  let release () =
+    Mutex.lock graphs.mu;
+    e.holders <- e.holders - 1;
+    if e.holders = 0 && graphs.latest <> Some key then Hashtbl.remove graphs.entries key;
+    Mutex.unlock graphs.mu
+  in
+  Fun.protect ~finally:release (fun () ->
+      let g =
+        Mutex.protect e.build (fun () ->
+            match e.view with
+            | Some g -> g
+            | None ->
+              let g = build () in
+              e.view <- Some g;
+              g)
+      in
+      f g)
+
 (* One cell's payload: [trials] kernel runs on the streams
    [salt + 0 .. salt + trials - 1] — pure in [(master, salt)], which is
    what makes checkpoints reusable across interrupted runs. The engine
    only changes how those trials execute ([Kernels.run_trials]);
    aggregation walks the outcomes in trial order either way, so the
    scalar path reproduces the historical per-trial loop draw-for-draw. *)
-let run_cell ~spec ~kernel ~branching ~trials ~base ~engine ~backend ~address
+let run_cell graphs ~spec ~kernel ~branching ~trials ~base ~engine ~backend ~address
     ~master ~salt =
   let spec_str = Graph.Spec.to_string spec in
-  let grng = Simkit.Seeds.tagged_rng ~master ~tag:("sweep:graph:" ^ spec_str) in
-  match Graph.Spec.build_view spec ~backend grng with
-  | Error msg -> failwith (Printf.sprintf "%s: graph build failed: %s" address msg)
-  | Ok g ->
+  let build () =
+    let grng = Simkit.Seeds.tagged_rng ~master ~tag:("sweep:graph:" ^ spec_str) in
+    match Graph.Spec.build_view spec ~backend grng with
+    | Error msg -> failwith (Printf.sprintf "%s: graph build failed: %s" address msg)
+    | Ok g -> g
+  in
+  with_graph graphs (spec_str, master) ~build (fun g ->
     let params = { base with K.branching } in
     let completed = ref 0 in
     let rounds = Stats.Summary.create () in
@@ -354,9 +411,10 @@ let run_cell ~spec ~kernel ~branching ~trials ~base ~engine ~backend ~address
         ("censored", Json.Int (trials - !completed));
         ("rounds", rounds_json);
         ("observations", Json.Obj obs_json);
-      ]
+      ])
 
 let cells grid =
+  let graphs = { mu = Mutex.create (); entries = Hashtbl.create 8; latest = None } in
   let cells = ref [] in
   let index = ref 0 in
   List.iter
@@ -394,7 +452,7 @@ let cells grid =
                   meta;
                   run =
                     (fun ~master ~salt ->
-                      run_cell ~spec ~kernel ~branching ~trials:grid.trials
+                      run_cell graphs ~spec ~kernel ~branching ~trials:grid.trials
                         ~base:grid.base ~engine:grid.engine
                         ~backend:grid.backend ~address ~master ~salt);
                 }

@@ -6,10 +6,10 @@
     branchings), each point becoming one [Simkit.Campaign] cell whose
     address is the canonical ["g=<spec>;k=<kernel>;b=<branching>"]
     string. Cell payloads are deterministic functions of
-    [(master, salt)]: the cell builds its graph from the stream tagged
-    by the graph description (so every cell of the same spec sees the
-    same graph), then runs [trials] kernel trials on the streams
-    [salt + 0 .. salt + trials - 1].
+    [(master, salt)]: the cell's graph comes from the stream tagged by
+    the graph description (so every cell of the same spec sees the same
+    graph, built once per {!cells} list and master), then the cell runs
+    [trials] kernel trials on the streams [salt + 0 .. salt + trials - 1].
 
     Grids are written as JSON documents (schema {!schema}) or as inline
     [key=value;...] strings; {!load} accepts either (a path that exists
@@ -64,5 +64,20 @@ val of_inline : string -> (t, string) result
 val load : string -> (t, string) result
 
 (** [cells grid] expands the grid into campaign cells (addresses unique,
-    indices positional). *)
+    indices positional).
+
+    The cells of one returned list share one graph per spec and master:
+    the first of them to run with a given [master] builds the view of
+    its spec (from the stream tagged ["sweep:graph:<spec>"], behind the
+    grid's backend) while holding that spec's lock; a cell of the same
+    spec on another domain waits on the lock instead of building it
+    again, and later cells reuse the view. A view is immutable and a
+    pure function of [(master, spec, backend)], so payloads are the same
+    as if each cell built its own, on any number of domains and in any
+    order. A spec's graph is dropped once no running cell holds it and
+    a cell of another spec or master has asked for its own graph, so no
+    more graphs are alive than domains run cells. No lock is held while
+    a kernel runs. A failed build is not kept: each cell of the spec
+    builds again and raises [Failure "<address>: graph build failed:
+    <reason>"] with its own address. Distinct lists share nothing. *)
 val cells : t -> Simkit.Campaign.cell list

@@ -134,11 +134,15 @@ let start_daemon ?(config = fun c -> c) () =
   let base = Daemon.default_config ~socket in
   let cfg = config { base with Daemon.cache = Some cache; domains = Some 2 } in
   let result = ref (Error "daemon did not run") in
-  let th = Thread.create (fun () -> result := Daemon.run cfg) () in
-  (* Wait for the socket to come up. *)
+  let listening = Atomic.make false in
+  let th =
+    Thread.create
+      (fun () -> result := Daemon.run ~ready:(fun () -> Atomic.set listening true) cfg)
+      ()
+  in
   let rec wait n =
-    if n = 0 then Alcotest.fail "daemon socket never appeared"
-    else if not (Sys.file_exists socket) then (Thread.delay 0.02; wait (n - 1))
+    if n = 0 then Alcotest.fail "daemon never listened"
+    else if not (Atomic.get listening) then (Thread.delay 0.02; wait (n - 1))
   in
   wait 250;
   { socket; dir; join = (fun () -> Thread.join th; !result) }
@@ -361,15 +365,18 @@ let test_quota_and_error_kinds () =
         (Client.request ~socket (Protocol.Cancel { job = "job-999999" })))
 
 (* A daemon with no job slot (or a negative queue) would admit jobs that
-   never run: [run] refuses the config before it binds the socket. *)
+   never run: [run] refuses the config before it binds the socket, and
+   never calls [ready]. *)
 let test_no_job_slot_is_refused () =
   List.iter
     (fun (what, config) ->
       let dir = fresh_dir () in
       let socket = Filename.concat dir "d.sock" in
-      (match Daemon.run (config (Daemon.default_config ~socket)) with
+      let readied = ref false in
+      (match Daemon.run ~ready:(fun () -> readied := true) (config (Daemon.default_config ~socket)) with
       | Ok () -> Alcotest.failf "%s: daemon ran" what
       | Error _ -> ());
+      check Alcotest.bool (what ^ ": not reported listening") false !readied;
       check Alcotest.bool (what ^ ": no socket file") false (Sys.file_exists socket))
     [
       ("max_jobs 0", fun c -> { c with Daemon.max_jobs = 0 });

@@ -523,7 +523,81 @@ let test_cell_payload_deterministic () =
         check Alcotest.string "payload is pure in (master, salt)" a b;
         let other = Json.to_string (c.Simkit.Campaign.run ~master:8 ~salt) in
         check Alcotest.bool "payload depends on master" true (a <> other))
-      (Sweep.Grid.cells grid)
+      (Sweep.Grid.cells grid);
+  (* The cells of one list share one graph per (spec, master). On graphs
+     drawn from the master's stream, on both stored backends, one list
+     run in index order, in reverse, with masters 7, 8, 7 interleaved
+     and on a 2-domain pool must give every cell the payload it has as
+     the only cell run from a fresh list. *)
+  List.iter
+    (fun backend ->
+      let grid =
+        match
+          Sweep.Grid.of_inline
+            ("graphs=random-regular:40x3,ba:30x2;kernels=cobra,bips,sis;trials=3;backend="
+           ^ backend)
+        with
+        | Ok g -> g
+        | Error msg -> Alcotest.fail msg
+      in
+      let payload (c : Simkit.Campaign.cell) master =
+        Json.to_string
+          (c.run ~master ~salt:(Simkit.Campaign.salt_of_address c.address))
+      in
+      let cells = Array.of_list (Sweep.Grid.cells grid) in
+      let n = Array.length cells in
+      let fresh master =
+        Array.init n (fun i -> payload (List.nth (Sweep.Grid.cells grid) i) master)
+      in
+      let expected = [ (7, fresh 7); (8, fresh 8) ] in
+      let check_cell way i master got =
+        check Alcotest.string
+          (Printf.sprintf "%s: %s, %s, master %d" way backend cells.(i).address master)
+          (List.assoc master expected).(i) got
+      in
+      Array.iteri (fun i c -> check_cell "index order" i 7 (payload c 7)) cells;
+      for i = n - 1 downto 0 do
+        check_cell "reverse order" i 7 (payload cells.(i) 7)
+      done;
+      Array.iteri
+        (fun i c -> List.iter (fun m -> check_cell "masters 7, 8, 7" i m (payload c m)) [ 7; 8; 7 ])
+        cells;
+      let pooled = Array.make n "" in
+      Simkit.Pool.with_pool ~domains:2 (fun pool ->
+          Simkit.Pool.run pool ~n (fun i -> pooled.(i) <- payload cells.(i) 7));
+      Array.iteri (fun i got -> check_cell "2-domain pool" i 7 got) pooled;
+      check Alcotest.bool "the graphs depend on the master" true
+        (Array.for_all2 ( <> ) (List.assoc 7 expected) (List.assoc 8 expected)))
+    [ "heap"; "bigarray" ]
+
+(* A graph that cannot be built is not kept: every cell of its spec
+   fails with its own address, in either order and when run again, and
+   the other spec's cells still run. *)
+let test_graph_build_failure_per_cell () =
+  match Sweep.Grid.of_inline "graphs=random-regular:5x3,cycle:6;kernels=cobra,bips" with
+  | Error msg -> Alcotest.fail msg
+  | Ok grid ->
+    let run (c : Simkit.Campaign.cell) =
+      Json.to_string (c.run ~master:7 ~salt:(Simkit.Campaign.salt_of_address c.address))
+    in
+    let fresh = Sweep.Grid.cells grid in
+    let cells = Sweep.Grid.cells grid in
+    let run_checked (c : Simkit.Campaign.cell) =
+      if contains c.address "random-regular" then
+        match run c with
+        | _ -> Alcotest.failf "%s: ran on an unbuildable graph" c.address
+        | exception Failure msg ->
+          check Alcotest.string "the failure names its own cell"
+            (c.address ^ ": graph build failed: Gen.random_regular: n * r must be even")
+            msg
+      else
+        check Alcotest.string (c.address ^ " still runs")
+          (run (List.nth fresh c.index))
+          (run c)
+    in
+    List.iter run_checked cells;
+    List.iter run_checked (List.rev cells);
+    List.iter (fun c -> run_checked c; run_checked c) cells
 
 (* ---------- lane engine ----------
 
@@ -1374,6 +1448,8 @@ let () =
             test_load_missing_file;
           Alcotest.test_case "cell payload deterministic" `Quick
             test_cell_payload_deterministic;
+          Alcotest.test_case "graph build failures stay per cell" `Quick
+            test_graph_build_failure_per_cell;
         ] );
       ( "campaign",
         [
