@@ -2,12 +2,9 @@
 
    Part 1 (Bechamel): one Test.make per experiment E1..E16, timing that
    experiment's computational kernel at a fixed representative size, plus
-   a group of substrate micro-benchmarks (process steps, spectral matvec,
-   generator) and a group of before/after kernel pairs: each hot-path
-   optimisation is benchmarked against a bench-local copy of the code it
-   replaced (checked vs unchecked CSR accessors, polymorphic vs
-   monomorphic sort/equality, edge-list vs direct relabel). Estimates
-   are OLS fits of wall time vs iterations.
+   a group of substrate micro-benchmarks (process steps, spectral matvec
+   and Lanczos, generator). Estimates are OLS fits of wall time vs
+   iterations.
 
    Part 2 (parallel engine): wall-clock of the same trial batch through
    Trial.collect ~domains:1 and Trial.collect on the shared pool,
@@ -47,13 +44,10 @@ let master = Simkit.Seeds.master ~default:1 ()
 let rng_of tag = Simkit.Seeds.tagged_rng ~master ~tag
 
 (* Workloads are built once, outside the timed closures. Processes and
-   kernels consume Graph.View; the raw CSR fixtures stay around for the
-   substrate pairs that benchmark Csr accessors themselves, and for the
-   exact engine (dense DP, heap-only by design). *)
-let expander_1k_csr = Graph.Gen.random_regular (rng_of "bench:rr1k") ~n:1024 ~r:3
-let expander_1k = Graph.View.of_csr expander_1k_csr
-let expander_4k_csr = Graph.Gen.random_regular (rng_of "bench:rr4k") ~n:4096 ~r:3
-let expander_4k = Graph.View.of_csr expander_4k_csr
+   kernels consume Graph.View; the exact engine takes raw CSR (dense DP,
+   heap-only by design). *)
+let expander_1k = Graph.View.of_csr (Graph.Gen.random_regular (rng_of "bench:rr1k") ~n:1024 ~r:3)
+let expander_4k = Graph.View.of_csr (Graph.Gen.random_regular (rng_of "bench:rr4k") ~n:4096 ~r:3)
 let complete_256 = Graph.View.of_csr (Graph.Gen.complete 256)
 let circulant_1k = Graph.View.of_csr (Graph.Gen.circulant 1025 [ 1; 2; 3; 4; 5; 6; 7; 8 ])
 let torus_32 = Graph.View.of_csr (Graph.Gen.torus [| 32; 32 |])
@@ -151,107 +145,11 @@ let substrate_kernels =
     Test.make ~name:"substrate/lanczos-lambda-n1024"
       (let rng = rng_of "s5" in
        Staged.stage (fun () ->
-           ignore (Spectral.Lanczos.lambda_max ~steps:40 rng expander_1k)));
+           ignore (Spectral.Lanczos.extremes ~steps:40 rng expander_1k)));
     Test.make ~name:"substrate/bitset-card-n65536"
       (let s = Dstruct.Bitset.create 65536 in
        Dstruct.Bitset.fill s;
        Staged.stage (fun () -> ignore (Dstruct.Bitset.cardinal s)));
-  ]
-
-(* Before/after pairs for this PR's hot-path pass. The "-before" variant
-   of each pair is a bench-local reimplementation of the code that was
-   replaced, so the table keeps measuring the delta as the library moves
-   on. *)
-let kernel_pairs =
-  let g = expander_4k_csr in
-  let n = Graph.Csr.n_vertices g in
-  [
-    Test.make ~name:"kernel/degree-sum-checked-n4096"
-      (Staged.stage (fun () ->
-           let acc = ref 0 in
-           for v = 0 to n - 1 do
-             acc := !acc + Graph.Csr.degree g v
-           done;
-           ignore !acc));
-    Test.make ~name:"kernel/degree-sum-unsafe-n4096"
-      (Staged.stage (fun () ->
-           let acc = ref 0 in
-           for v = 0 to n - 1 do
-             acc := !acc + Graph.Csr.unsafe_degree g v
-           done;
-           ignore !acc));
-    Test.make ~name:"kernel/iter-neighbours-checked-n4096"
-      (Staged.stage (fun () ->
-           let acc = ref 0 in
-           for v = 0 to n - 1 do
-             Graph.Csr.iter_neighbours g v ~f:(fun w -> acc := !acc + w)
-           done;
-           ignore !acc));
-    Test.make ~name:"kernel/iter-neighbours-unsafe-n4096"
-      (Staged.stage (fun () ->
-           let acc = ref 0 in
-           for v = 0 to n - 1 do
-             Graph.Csr.unsafe_iter_neighbours g v ~f:(fun w -> acc := !acc + w)
-           done;
-           ignore !acc));
-    Test.make ~name:"kernel/random-neighbour-checked-x1024"
-      (let rng = rng_of "k1" in
-       Staged.stage (fun () ->
-           for _ = 1 to 1024 do
-             ignore (Graph.Csr.random_neighbour g rng 0)
-           done));
-    Test.make ~name:"kernel/random-neighbour-unsafe-x1024"
-      (let rng = rng_of "k2" in
-       Staged.stage (fun () ->
-           for _ = 1 to 1024 do
-             ignore (Graph.Csr.unsafe_random_neighbour g rng 0)
-           done));
-    (* Adjacency-slice sort inside Csr.of_edge_iter: polymorphic compare
-       (before) vs Int.compare (after). *)
-    Test.make ~name:"kernel/slice-sort-poly-n12288"
-      (let master_arr = Array.copy (Graph.Csr.unsafe_adjacency g) in
-       let scratch = Array.copy master_arr in
-       Staged.stage (fun () ->
-           Array.blit master_arr 0 scratch 0 (Array.length master_arr);
-           Array.sort compare scratch));
-    Test.make ~name:"kernel/slice-sort-int-n12288"
-      (let master_arr = Array.copy (Graph.Csr.unsafe_adjacency g) in
-       let scratch = Array.copy master_arr in
-       Staged.stage (fun () ->
-           Array.blit master_arr 0 scratch 0 (Array.length master_arr);
-           Array.sort Int.compare scratch));
-    Test.make ~name:"kernel/csr-equal-poly-n4096"
-      (let a = Graph.Csr.unsafe_adjacency g and o = Graph.Csr.unsafe_offsets g in
-       let a' = Array.copy a and o' = Array.copy o in
-       Staged.stage (fun () -> ignore (o = o' && a = a')));
-    Test.make ~name:"kernel/csr-equal-mono-n4096"
-      (let h =
-         Graph.Csr.relabel g (Array.init n Fun.id)
-         (* identity relabel: equal but not physically shared *)
-       in
-       Staged.stage (fun () -> ignore (Graph.Csr.equal g h)));
-    Test.make ~name:"kernel/relabel-edgelist-n1024"
-      (let g1 = expander_1k_csr in
-       let n1 = Graph.Csr.n_vertices g1 in
-       let perm = Array.init n1 (fun v -> (v + 17) mod n1) in
-       Staged.stage (fun () ->
-           let mapped = ref [] in
-           Graph.Csr.iter_edges g1 ~f:(fun u v ->
-               mapped := (perm.(u), perm.(v)) :: !mapped);
-           ignore (Graph.Csr.of_edges ~n:n1 !mapped)));
-    Test.make ~name:"kernel/relabel-direct-n1024"
-      (let g1 = expander_1k_csr in
-       let n1 = Graph.Csr.n_vertices g1 in
-       let perm = Array.init n1 (fun v -> (v + 17) mod n1) in
-       Staged.stage (fun () -> ignore (Graph.Csr.relabel g1 perm)));
-    Test.make ~name:"kernel/process-active-n4096"
-      (let p = Cobra.Process.create expander_4k ~branching:B.cobra_k2 ~start:[ 0 ] in
-       Staged.stage (fun () ->
-           let acc = ref 0 in
-           for v = 0 to n - 1 do
-             if Cobra.Process.active p v then incr acc
-           done;
-           ignore !acc));
   ]
 
 let run_benchmarks () =
@@ -284,11 +182,9 @@ let run_benchmarks () =
         Stats.Table.add_row table [ name; pretty_time est; Printf.sprintf "%.4f" r2 ])
       (List.sort compare rows)
   in
-  print_endline
-    "== Bechamel kernels: one per experiment, substrates, before/after pairs ==";
+  print_endline "== Bechamel kernels: one per experiment, then substrates ==";
   List.iter bench_one experiment_kernels;
   List.iter bench_one substrate_kernels;
-  List.iter bench_one kernel_pairs;
   Stats.Table.print table;
   List.rev !collected
 
@@ -408,16 +304,24 @@ let run_scale ~smoke ~json_path =
      the off-heap representation. *)
   Gc.compact ();
   cover_rows ~prefix:"scale/bigarray-cover-" blabel gb ("scale:big:cover:" ^ blabel);
-  (* Spectral premise check at full scale, through the same view: a few
-     Lanczos steps pin lambda to ~1e-3 on an expander, and the matvec
-     runs straight off the int32 arrays. *)
-  let (lam_b, dtlb) =
-    timed (fun () ->
-        Spectral.Lanczos.lambda_max ~steps:12 (rng_of ("scale:lambda:" ^ blabel)) gb)
+  (* Spectral premise check at full scale, through the same view: 12
+     Lanczos steps with the matvec straight off the int32 arrays. Each
+     Ritz value prints with its bound, within which lies the eigenvalue
+     nearest it; after 12 steps that need not be the extreme one. *)
+  let bad_bounds = ref [] in
+  let lanczos12 prefix label g =
+    let e, dt =
+      timed (fun () -> Spectral.Lanczos.extremes ~steps:12 (rng_of ("scale:lambda:" ^ label)) g)
+    in
+    row (prefix ^ label) dt;
+    let open Spectral.Lanczos in
+    Printf.printf "    (theta_2 = %+.4f ± %.1e, theta_min = %+.4f ± %.1e after %d Lanczos steps)\n%!"
+      e.lambda_2 e.bound_2 e.lambda_min e.bound_min e.steps;
+    if not (Float.is_finite e.bound_2 && Float.is_finite e.bound_min) then
+      bad_bounds := (label ^ ": bound not finite") :: !bad_bounds;
+    e
   in
-  row ("scale/lanczos12-bigarray-" ^ blabel) dtlb;
-  Printf.printf "    (lambda ~ %.4f from 12 Lanczos steps on the bigarray view)\n%!"
-    lam_b;
+  ignore (lanczos12 "scale/lanczos12-bigarray-" blabel gb);
   rss_note ();
   let d_imp = if smoke then 14 else 24 in
   let ilabel = Printf.sprintf "hypercube-d%d" d_imp in
@@ -426,24 +330,32 @@ let run_scale ~smoke ~json_path =
   in
   row ("scale/implicit-gen-" ^ ilabel) dti;
   cover_rows ~prefix:"scale/implicit-cover-" ilabel gi ("scale:big:cover:" ^ ilabel);
-  (* The hypercube is bipartite (lambda_min = -1), so report lambda_2
-     against its closed form 1 - 2/d rather than max(|l2|, |ln|). *)
-  let (ext_i, dtli) =
-    timed (fun () ->
-        Spectral.Lanczos.extremes ~steps:12 (rng_of ("scale:lambda:" ^ ilabel)) gi)
+  (* The hypercube's nontrivial walk eigenvalues are 1 - 2k/d, k = 1..d:
+     each Ritz value must have one within its bound (plus 1e-12 for
+     rounding). *)
+  let ext_i = lanczos12 "scale/lanczos12-implicit-" ilabel gi in
+  let near_eigenvalue theta b =
+    List.exists
+      (fun k -> Float.abs (theta -. (1.0 -. (2.0 *. float_of_int k /. float_of_int d_imp))) <= b +. 1e-12)
+      (List.init d_imp (fun k -> k + 1))
   in
-  row ("scale/lanczos12-implicit-" ^ ilabel) dtli;
-  Printf.printf
-    "    (lambda_2 ~ %.4f from 12 Lanczos steps on the implicit view; closed \
-     form 1 - 2/d = %.4f; lambda_min ~ %.4f)\n%!"
-    ext_i.Spectral.Lanczos.lambda_2
-    (1.0 -. (2.0 /. float_of_int d_imp))
-    ext_i.Spectral.Lanczos.lambda_min;
+  List.iter
+    (fun (name, theta, b) ->
+      if not (near_eigenvalue theta b) then
+        bad_bounds :=
+          Printf.sprintf "%s: %s = %f has no eigenvalue 1 - 2k/d within %.1e" ilabel name theta b
+          :: !bad_bounds)
+    Spectral.Lanczos.
+      [ ("theta_2", ext_i.lambda_2, ext_i.bound_2); ("theta_min", ext_i.lambda_min, ext_i.bound_min) ];
   rss_note ();
   (match peak_rss_kib () with
   | Some kib -> Printf.printf "peak RSS: %.1f MiB\n" (float_of_int kib /. 1024.0)
   | None -> print_endline "peak RSS: unavailable (no /proc)");
-  Option.iter (fun path -> emit_json path (List.rev !rows)) json_path
+  Option.iter (fun path -> emit_json path (List.rev !rows)) json_path;
+  if !bad_bounds <> [] then begin
+    List.iter (fun f -> Printf.printf "SCALE GATE FAILED: %s\n" f) (List.rev !bad_bounds);
+    exit 1
+  end
 
 (* --- Part 5: bit-sliced lane engine rows. --------------------------- *)
 

@@ -785,15 +785,11 @@ let spectral_cmd =
     (match Graph.View.regularity g with
     | Some r when r > 0 ->
       let rng = Simkit.Seeds.tagged_rng ~master:seed ~tag:"cli:spectral" in
-      let p2 = Spectral.Power.lambda_2 (Prng.Rng.split rng) g in
-      let pn = Spectral.Power.lambda_min (Prng.Rng.split rng) g in
-      let lz = Spectral.Lanczos.extremes (Prng.Rng.split rng) g in
-      let gap = Spectral.Gap.estimate rng g in
-      Printf.printf "power iteration : lambda_2 = %+.6f (%d iters)  lambda_n = %+.6f (%d iters)\n"
-        p2.Spectral.Power.value p2.Spectral.Power.iterations pn.Spectral.Power.value
-        pn.Spectral.Power.iterations;
-      Printf.printf "lanczos         : lambda_2 = %+.6f  lambda_n = %+.6f\n"
-        lz.Spectral.Lanczos.lambda_2 lz.Spectral.Lanczos.lambda_min;
+      let e = Spectral.Lanczos.extremes rng g in
+      Printf.printf "lanczos: lambda_2 = %+.6f ± %.1e  lambda_n = %+.6f ± %.1e  (%d steps)\n"
+        e.Spectral.Lanczos.lambda_2 e.Spectral.Lanczos.bound_2 e.Spectral.Lanczos.lambda_min
+        e.Spectral.Lanczos.bound_min e.Spectral.Lanczos.steps;
+      let gap = Spectral.Gap.of_extremes e in
       Printf.printf "%s\n" (Format.asprintf "%a" Spectral.Gap.pp gap);
       let n = Graph.View.n_vertices g in
       Printf.printf "theorem-1 scale log n / gap^3 = %.1f rounds; premise gap/sqrt(log n/n) = %.2f\n"

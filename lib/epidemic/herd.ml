@@ -15,6 +15,7 @@ type t = {
   status : status array;
   timer : int array; (* rounds remaining in Transient/Immune *)
   infectious : Bitset.t; (* Transient or Persistent, kept in sync *)
+  snapshot : Bitset.t; (* [infectious] at the start of the current round *)
   ever : Bitset.t;
   picks : int array; (* one animal's contacts, [Branching.picks_into]'s buffer *)
   mutable ever_count : int;
@@ -38,6 +39,7 @@ let create g params ~pi ~index_cases =
       status = Array.make n Susceptible;
       timer = Array.make n 0;
       infectious = Bitset.create n;
+      snapshot = Bitset.create n;
       ever = Bitset.create n;
       picks = Cobra.Branching.picks_buffer params.contacts g;
       ever_count = 0;
@@ -88,9 +90,10 @@ let step h rng =
   let g = h.graph in
   let n = Graph.View.n_vertices g in
   (* Exposure is evaluated against the infectious set at the start of the
-     round (synchronous update, matching the BIPS round structure). *)
-  let snapshot = Bitset.copy h.infectious in
-  let newly_infected = ref [] in
+     round (synchronous update, matching the BIPS round structure). A new
+     infection is applied in place: exposure reads only the snapshot, and
+     no later vertex reads this one's status. *)
+  Bitset.blit ~src:h.infectious ~dst:h.snapshot;
   for v = 0 to n - 1 do
     match h.status.(v) with
     | Persistent -> ()
@@ -112,19 +115,17 @@ let step h rng =
       let c = Cobra.Branching.picks_into h.params.contacts rng g v h.picks in
       let hit = ref false in
       for j = 0 to c - 1 do
-        if Bitset.mem snapshot h.picks.(j) then hit := true
+        if Bitset.mem h.snapshot h.picks.(j) then hit := true
       done;
-      if !hit then newly_infected := v :: !newly_infected
+      if !hit then begin
+        h.status.(v) <- Transient;
+        h.timer.(v) <- h.params.infectious_rounds;
+        Bitset.add h.infectious v;
+        h.infectious_count <- h.infectious_count + 1;
+        if not (Bitset.mem h.ever v) then begin
+          Bitset.add h.ever v;
+          h.ever_count <- h.ever_count + 1
+        end
+      end
   done;
-  List.iter
-    (fun v ->
-      h.status.(v) <- Transient;
-      h.timer.(v) <- h.params.infectious_rounds;
-      Bitset.add h.infectious v;
-      h.infectious_count <- h.infectious_count + 1;
-      if not (Bitset.mem h.ever v) then begin
-        Bitset.add h.ever v;
-        h.ever_count <- h.ever_count + 1
-      end)
-    !newly_infected;
   h.round <- h.round + 1

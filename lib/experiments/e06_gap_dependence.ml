@@ -70,7 +70,8 @@ let run ~emit ~scale ~master =
   let n2 = Scale.pick scale ~quick:1024 ~standard:4096 ~full:16384 in
   let table2 =
     A.Tab.create
-      [ "r"; "lambda"; "1/gap"; "premise"; "cover (mean ± ci95)"; "bound"; "cover/bound" ]
+      [ "r"; "lambda"; "± (Lanczos)"; "1/gap"; "premise"; "cover (mean ± ci95)"; "bound";
+        "cover/bound" ]
   in
   let premise_floor2 = sqrt (Common.ln n2 /. Float.of_int n2) in
   let all_in_premise_below = ref true in
@@ -94,6 +95,7 @@ let run ~emit ~scale ~master =
         [
           A.int r;
           A.floatf "%.4f" gap_t.Spectral.Gap.lambda;
+          A.floatf "%.1e" gap_t.Spectral.Gap.bound;
           A.floatf "%.2f" (1.0 /. gap);
           A.str (Printf.sprintf "%.1fx" (gap /. premise_floor2));
           A.summary summary;

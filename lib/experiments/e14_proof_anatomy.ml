@@ -27,7 +27,9 @@ let run ~emit ~scale ~master =
     (A.context
        [
          ("graph", Printf.sprintf "random %d-regular, n=%d" r n);
-         ("lambda", Printf.sprintf "%.4f (gap %.4f)" gap_t.Spectral.Gap.lambda gap);
+         ( "lambda",
+           Printf.sprintf "%.4f ± %.1e (gap %.4f)" gap_t.Spectral.Gap.lambda
+             gap_t.Spectral.Gap.bound gap );
          ("trials", string_of_int trials);
          ("branching", "k=2");
        ]);

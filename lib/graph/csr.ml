@@ -14,17 +14,6 @@ let degree g v =
   check_vertex g v;
   g.offsets.(v + 1) - g.offsets.(v)
 
-let nth_neighbour g v i =
-  let off = g.offsets.(v) in
-  if i < 0 || off + i >= g.offsets.(v + 1) then
-    invalid_arg "Csr.nth_neighbour: index out of range";
-  g.adjacency.(off + i)
-
-let random_neighbour g rng v =
-  let d = degree g v in
-  if d = 0 then invalid_arg "Csr.random_neighbour: isolated vertex";
-  Array.unsafe_get g.adjacency (g.offsets.(v) + Prng.Rng.int rng d)
-
 let mem_edge g u v =
   check_vertex g u;
   check_vertex g v;
@@ -117,26 +106,6 @@ let equal a b =
 
 let unsafe_offsets g = g.offsets
 let unsafe_adjacency g = g.adjacency
-
-(* Unchecked accessors for the simulation inner loops (Process.step,
-   Bips.step, Rwalk): same results as the checked versions whenever
-   [0 <= v < n], undefined behaviour otherwise. *)
-let unsafe_degree g v =
-  Array.unsafe_get g.offsets (v + 1) - Array.unsafe_get g.offsets v
-
-let unsafe_nth_neighbour g v i =
-  Array.unsafe_get g.adjacency (Array.unsafe_get g.offsets v + i)
-
-let unsafe_random_neighbour g rng v =
-  let off = Array.unsafe_get g.offsets v in
-  let d = Array.unsafe_get g.offsets (v + 1) - off in
-  Array.unsafe_get g.adjacency (off + Prng.Rng.int rng d)
-
-let unsafe_iter_neighbours g v ~f =
-  let adjacency = g.adjacency in
-  for i = Array.unsafe_get g.offsets v to Array.unsafe_get g.offsets (v + 1) - 1 do
-    f (Array.unsafe_get adjacency i)
-  done
 
 (* In-place sort of [a.(lo) .. a.(hi - 1)]: median-of-three quicksort
    down to short runs, then one insertion-sort finishing pass. Replaces

@@ -3,9 +3,8 @@
     Vertices are [0 .. n_vertices - 1]. Each undirected edge {u, v} is
     stored twice (once per endpoint); adjacency lists are sorted. The
     representation is two int arrays, so a million-edge graph costs a few
-    megabytes and neighbour access is one index. This is the only graph
-    type in the repository; every process engine and every generator
-    produces or consumes it.
+    megabytes and neighbour access is one index. Every generator produces
+    it; processes read it, like the other two backends, through {!View}.
 
     The record is [private] so that {!View}, the one module with
     per-backend code, can read the two arrays in its hot accessors; it
@@ -50,14 +49,6 @@ val n_edges : t -> int
 
 (** [degree g v] is the number of neighbours of [v]. *)
 val degree : t -> int -> int
-
-(** [nth_neighbour g v i] is the [i]-th neighbour of [v] in sorted order,
-    [0 <= i < degree g v]. O(1); this is the hot path of every simulator. *)
-val nth_neighbour : t -> int -> int -> int
-
-(** [random_neighbour g rng v] draws a uniform neighbour of [v]; raises
-    [Invalid_argument] if [v] is isolated. *)
-val random_neighbour : t -> Prng.Rng.t -> int -> int
 
 (** [mem_edge g u v] tests adjacency by binary search: O(log degree). *)
 val mem_edge : t -> int -> int -> bool
@@ -107,25 +98,6 @@ val relabel : t -> int array -> t
 val unsafe_offsets : t -> int array
 
 val unsafe_adjacency : t -> int array
-
-(** {1 Unchecked accessors}
-
-    Bounds-check-free variants of {!degree}, {!nth_neighbour},
-    {!random_neighbour} and {!iter_neighbours} for the simulation inner
-    loops ([Process.step], [Bips.step], [Rwalk]). They return exactly the
-    same results as the checked versions whenever the vertex (and
-    neighbour index) is in range; out-of-range arguments are undefined
-    behaviour. Callers must have validated [v] on entry — the process
-    engines only ever pass frontier members and adjacency entries, which
-    are in range by construction. *)
-
-val unsafe_degree : t -> int -> int
-
-val unsafe_nth_neighbour : t -> int -> int -> int
-
-val unsafe_random_neighbour : t -> Prng.Rng.t -> int -> int
-
-val unsafe_iter_neighbours : t -> int -> f:(int -> unit) -> unit
 
 (** [pp] prints a short [n=..., m=..., r=...] summary. *)
 val pp : Format.formatter -> t -> unit

@@ -69,8 +69,9 @@ val bfs : t -> int -> int array
 
 (** {1 Unchecked accessors}
 
-    As {!Csr}'s: identical results for in-range arguments, undefined
-    behaviour otherwise. These are the simulation inner loops, and the
+    Identical results to the checked accessors above for in-range
+    arguments, undefined behaviour otherwise. These are the simulation
+    inner loops, and the
     per-backend code a kernel step needs lives here, not in the
     kernels: one dispatch on the representation per call, then on the
     heap and bigarray backends a read of the CSR arrays in place. *)

@@ -155,9 +155,15 @@ let bernoulli t p =
     t.hi <- !res_hi land full
   end
 
+(* A loop, not a local recursive function: a closure over [bound]
+   would allocate on every call, and the sliced steppers call this once
+   per vertex they read. *)
 let bits_for bound =
-  let rec go b = if 1 lsl b >= bound then b else go (b + 1) in
-  go 0
+  let b = ref 0 in
+  while 1 lsl !b < bound do
+    incr b
+  done;
+  !b
 
 (* Mask of lanes whose [nbits]-plane index is >= bound, i.e. > bound-1:
    scanning from the most significant plane, a lane exceeds the constant

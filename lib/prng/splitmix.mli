@@ -7,9 +7,8 @@
     a stream that is statistically independent of its parent, which gives
     every simulation trial its own reproducible randomness.
 
-    This is the workhorse generator of the repository: allocation-free and a
-    few ns per draw. {!Xoshiro} provides an independent 64-bit generator used
-    to cross-check statistical behaviour in tests. *)
+    This is the generator of the repository: allocation-free and a few ns
+    per draw. *)
 
 type t
 

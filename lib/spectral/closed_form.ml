@@ -56,21 +56,26 @@ let circulant_eigen n offsets j =
     offsets;
   !acc /. Float.of_int !r
 
-let signed_circulant n offsets =
+let circulant_spectrum n offsets =
   if offsets = [] then invalid_arg "Closed_form.circulant: empty offsets";
+  Array.init n (circulant_eigen n offsets)
+
+(* (max, min) over the nontrivial eigenvalues, entries 1 .. of [spec]. *)
+let signed_extremes spec =
   let l2 = ref neg_infinity and ln = ref infinity in
-  for j = 1 to n - 1 do
-    let v = circulant_eigen n offsets j in
-    if v > !l2 then l2 := v;
-    if v < !ln then ln := v
+  for j = 1 to Array.length spec - 1 do
+    if spec.(j) > !l2 then l2 := spec.(j);
+    if spec.(j) < !ln then ln := spec.(j)
   done;
   (!l2, !ln)
+
+let signed_circulant n offsets = signed_extremes (circulant_spectrum n offsets)
 
 let circulant n offsets =
   let l2, ln = signed_circulant n offsets in
   Float.max (Float.abs l2) (Float.abs ln)
 
-let torus dims =
+let torus_spectrum dims =
   Array.iter
     (fun d -> if d < 3 then invalid_arg "Closed_form.torus: sides >= 3")
     dims;
@@ -79,27 +84,20 @@ let torus dims =
   (* Factor eigenvalues: cycle C_d has cos(2π j / d). The torus walk
      matrix is the unweighted average of the factors' walk matrices (all
      factors are 2-regular), so its eigenvalues are averages over one
-     index choice per factor. *)
+     index choice per factor; code 0 (every index 0) is the trivial 1. *)
   let n = Array.fold_left ( * ) 1 dims in
-  let l2 = ref neg_infinity and ln = ref infinity in
-  let idx = Array.make k 0 in
-  for code = 0 to n - 1 do
-    let rest = ref code in
-    for i = 0 to k - 1 do
-      idx.(i) <- !rest mod dims.(i);
-      rest := !rest / dims.(i)
-    done;
-    if Array.exists (fun j -> j <> 0) idx then begin
-      let acc = ref 0.0 in
-      for i = 0 to k - 1 do
-        acc := !acc +. cos (2.0 *. pi *. Float.of_int idx.(i) /. Float.of_int dims.(i))
-      done;
-      let v = !acc /. Float.of_int k in
-      if v > !l2 then l2 := v;
-      if v < !ln then ln := v
-    end
-  done;
-  Float.max (Float.abs !l2) (Float.abs !ln)
+  Array.init n (fun code ->
+      let rest = ref code and acc = ref 0.0 in
+      Array.iter
+        (fun d ->
+          acc := !acc +. cos (2.0 *. pi *. Float.of_int (!rest mod d) /. Float.of_int d);
+          rest := !rest / d)
+        dims;
+      !acc /. Float.of_int k)
+
+let torus dims =
+  let l2, ln = signed_extremes (torus_spectrum dims) in
+  Float.max (Float.abs l2) (Float.abs ln)
 
 let star n =
   if n < 2 then invalid_arg "Closed_form.star: n >= 2";

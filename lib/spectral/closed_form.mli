@@ -34,6 +34,10 @@ val circulant : int -> int list -> float
 (** [signed_circulant n offsets] is (λ₂, λ_n) for the circulant. *)
 val signed_circulant : int -> int list -> float * float
 
+(** [circulant_spectrum n offsets] is every eigenvalue, entry [j] the
+    one above (entry 0 the trivial 1). *)
+val circulant_spectrum : int -> int list -> float array
+
 (** [torus dims] — the product of cycles has eigenvalues equal to averages
     of the factor eigenvalues (the walk matrix of a Cartesian product of
     regular graphs is the weighted average of the factors' walk matrices);
@@ -41,6 +45,10 @@ val signed_circulant : int -> int list -> float * float
     [>= 3] (so the torus is 2-regular in each dimension). Enumeration is
     O(Π dims), fine for experiment-sized tori. *)
 val torus : int array -> float
+
+(** [torus_spectrum dims] is every eigenvalue of that grid, entry 0 the
+    trivial 1. *)
+val torus_spectrum : int array -> float array
 
 (** [star n] — λ of the star's walk matrix is 1 (bipartite); exposed for
     completeness of the oracle set. *)

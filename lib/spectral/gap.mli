@@ -1,23 +1,22 @@
 (** Spectral gap and the paper's theory-bound arithmetic, shared by the
     experiment harness and the CLI. *)
 
-(** How λ was obtained; carried along so experiment reports can say so. *)
-type method_ = Power | Lanczos_method | Closed_form of string
-
 type t = {
-  lambda : float;  (** λ = max(|λ₂|, |λ_n|) *)
+  lambda : float;  (** λ = max(|θ₂|, |θ_min|), the estimate of max(|λ₂|, |λ_n|) *)
   gap : float;  (** 1 - λ *)
-  method_ : method_;
+  bound : float;
+      (** the larger of the two {!Lanczos.extremes} bounds. Eigenvalues
+          μ₂ and μ_min lie within their bounds of θ₂ and θ_min, so
+          [lambda] is within [bound] of max(|μ₂|, |μ_min|) *)
 }
 
-(** [estimate ?steps rng g] computes λ for a connected regular graph by
-    power iteration cross-checked against a Lanczos sweep; the two must
-    agree within [5e-4] (else the tighter Lanczos value is used and a
-    warning is logged). *)
-val estimate : ?steps:int -> Prng.Rng.t -> Graph.View.t -> t
+(** [of_extremes e] is the gap of a {!Lanczos.extremes} result. *)
+val of_extremes : Lanczos.extremes -> t
 
-(** [of_lambda ?method_ lambda] wraps an externally known λ. *)
-val of_lambda : ?method_:method_ -> float -> t
+(** [estimate rng g] is [of_extremes (Lanczos.extremes rng g)]: one
+    Lanczos run, to its tolerance stop, on the connected regular graph
+    [g]. *)
+val estimate : Prng.Rng.t -> Graph.View.t -> t
 
 (** [theorem1_bound ~n t] is [log n / gap³] — the paper's T for Theorems 1
     and 2 (up to the hidden constant). *)
@@ -28,17 +27,5 @@ val theorem1_bound : n:int -> t -> float
     [gap / sqrt (log n / n)] (values well above 1 satisfy it). *)
 val satisfies_gap_condition : n:int -> t -> float
 
-(** [growth_factor ~n t ~a] is Lemma 1's per-step expected growth lower
-    bound [1 + (1 - λ²)(1 - a/n)] for an infected set of size [a]. *)
-val growth_factor : n:int -> t -> a:int -> float
-
-(** [mixing_time_upper ~n ?eps t] is the standard upper bound
-    [ln(n/eps) / (1 - λ)] on the lazy-walk ε-mixing time (default
-    [eps = 1e-2]) — context for how COBRA's O(log n / gap³) compares to
-    single-walk mixing on the same graph. *)
-val mixing_time_upper : n:int -> ?eps:float -> t -> float
-
-(** [pp_method] and [pp] printers. *)
-val pp_method : Format.formatter -> method_ -> unit
-
+(** [pp] prints [lambda=… ± bound gap=…]. *)
 val pp : Format.formatter -> t -> unit

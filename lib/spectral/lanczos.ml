@@ -1,53 +1,74 @@
-type extremes = { lambda_2 : float; lambda_min : float; ritz : float array }
+type extremes = {
+  lambda_2 : float;
+  bound_2 : float;
+  lambda_min : float;
+  bound_min : float;
+  steps : int;
+}
 
-let run ?steps ?(deflate = []) rng op =
-  let n = op.Op.n in
-  if n = 0 then invalid_arg "Lanczos.run: empty operator";
-  let steps = match steps with Some s -> max 1 s | None -> min (max 1 (n - 1)) 100 in
-  let q0 = Vec.random rng n in
-  List.iter (fun dir -> Vec.project_out ~dir q0) deflate;
-  Vec.normalize q0;
-  let basis = ref [ q0 ] in
-  let alpha = ref [] and beta = ref [] in
-  let w = Array.make n 0.0 in
-  let rec go j q q_prev b_prev =
-    op.Op.apply ~x:q ~y:w;
-    let a = Vec.dot q w in
-    alpha := a :: !alpha;
-    if j < steps then begin
-      (* w <- w - a q - b_prev q_prev, then full reorthogonalisation. *)
-      Vec.axpy ~a:(-.a) ~x:q ~y:w;
-      (match q_prev with
-      | Some qp -> Vec.axpy ~a:(-.b_prev) ~x:qp ~y:w
-      | None -> ());
-      List.iter (fun dir -> Vec.project_out ~dir w) deflate;
-      List.iter (fun v -> Vec.project_out ~dir:v w) !basis;
-      let b = Vec.norm2 w in
-      if b < 1e-12 then ()
-      else begin
-        let q_next = Array.map (fun x -> x /. b) w in
-        beta := b :: !beta;
-        basis := q_next :: !basis;
-        go (j + 1) q_next (Some q) b
-      end
-    end
+let tol = 1e-10
+
+(* The extreme Ritz values of the m x m tridiagonal and Paige's bound for
+   each: |beta s_m| for the Ritz vector s, plus the inverse iteration's
+   own residual. *)
+let ritz_extremes ~diag ~off ~beta ~steps =
+  let m = Array.length diag in
+  let bound k =
+    let theta = Tridiag.eigenvalue ~diag ~off k in
+    let s, residual = Tridiag.eigenvector ~diag ~off theta in
+    (theta, (beta *. Float.abs s.(m - 1)) +. residual)
   in
-  go 1 q0 None 0.0;
-  let diag = Array.of_list (List.rev !alpha) in
-  let off = Array.of_list (List.rev !beta) in
-  Tridiag.eigenvalues ~diag ~off
+  let lambda_2, bound_2 = bound (m - 1) in
+  let lambda_min, bound_min = bound 0 in
+  { lambda_2; bound_2; lambda_min; bound_min; steps }
 
 let extremes ?steps rng g =
   (match Graph.View.regularity g with
   | Some r when r > 0 -> ()
   | _ -> invalid_arg "Lanczos.extremes: requires a regular graph");
   let n = Graph.View.n_vertices g in
+  let max_steps = match steps with Some s -> max 1 s | None -> max 64 (4 * n) in
   let op = Op.walk_matrix g in
-  let ritz = run ?steps ~deflate:[ Vec.uniform_unit n ] rng op in
-  let m = Array.length ritz in
-  if m = 0 then invalid_arg "Lanczos.extremes: no Ritz values";
-  { lambda_2 = ritz.(m - 1); lambda_min = ritz.(0); ritz }
-
-let lambda_max ?steps rng g =
-  let e = extremes ?steps rng g in
-  Float.max (Float.abs e.lambda_2) (Float.abs e.lambda_min)
+  let q = ref (Vec.random rng n) in
+  (* Centring every iterate keeps it orthogonal to the constant vector,
+     the trivial eigenvector of a regular graph's walk matrix. *)
+  Vec.center !q;
+  Vec.normalize !q;
+  let q_prev = ref (Array.make n 0.0) and w = ref (Array.make n 0.0) in
+  let alpha = ref (Array.make 64 0.0) and beta = ref (Array.make 64 0.0) in
+  (* The bisection costs O(m) per extreme, so the bounds are checked
+     every m/8 steps, not every step. *)
+  let rec go m next_check =
+    if m > Array.length !alpha then begin
+      alpha := Array.append !alpha !alpha;
+      beta := Array.append !beta !beta
+    end;
+    let q0 = !q and qp = !q_prev and w0 = !w in
+    op.Op.apply ~x:q0 ~y:w0;
+    let a = Vec.dot q0 w0 in
+    Vec.axpy ~a:(-.a) ~x:q0 ~y:w0;
+    if m > 1 then Vec.axpy ~a:(-. !beta.(m - 2)) ~x:qp ~y:w0;
+    Vec.center w0;
+    let b = Vec.norm2 w0 in
+    !alpha.(m - 1) <- a;
+    !beta.(m - 1) <- b;
+    let stop = m >= max_steps || b <= tol in
+    let result =
+      if stop || m >= next_check then
+        let e =
+          ritz_extremes ~diag:(Array.sub !alpha 0 m) ~off:(Array.sub !beta 0 (m - 1))
+            ~beta:b ~steps:m
+        in
+        if stop || (e.bound_2 <= tol && e.bound_min <= tol) then Some e else None
+      else None
+    in
+    match result with
+    | Some e -> e
+    | None ->
+      Vec.scale w0 (1.0 /. b);
+      q_prev := q0;
+      q := w0;
+      w := qp;
+      go (m + 1) (if m >= next_check then m + max 4 (m / 8) else next_check)
+  in
+  go 1 4

@@ -1,26 +1,40 @@
-(** Lanczos tridiagonalisation with full reorthogonalisation.
+(** The extreme nontrivial eigenvalues of a regular graph's walk matrix
+    by the plain three-term Lanczos recurrence, with Paige's residual
+    bound on each.
 
-    An independent route to the walk-matrix spectrum, used to cross-check
-    {!Power} (and vice versa): one Krylov sweep yields Ritz values
-    approximating both the second-largest and the smallest eigenvalue. *)
+    No basis is stored: the recurrence keeps three n-vectors and the
+    m × m tridiagonal T_m, and removes the constant eigenvector by
+    subtracting each iterate's mean. The extreme Ritz values θ₂ (largest)
+    and θ_min (smallest) come from bisection on T_m. For a Ritz value θ
+    with unit tridiagonal eigenvector s, [b = |β_m · s_m|] (plus the
+    inverse iteration's residual ‖(T_m − θ)s‖, normally about 1e-16)
+    bounds the distance from θ to the spectrum: {b some} eigenvalue of
+    the walk matrix, other than the trivial 1, lies in [θ ± b] (Paige).
+
+    That eigenvalue need not be the extreme one. After a fixed, small
+    number of steps a Ritz value can sit close to an interior
+    eigenvalue: 12 steps on [hypercube:14] gave θ_min = −0.865 ± 0.083,
+    nearest the eigenvalue −0.857, while λ_n = −1. When the run stops on
+    the tolerance, θ₂ and θ_min have matched the extreme closed forms
+    within their bounds on every family tested (test/spectral). *)
 
 type extremes = {
-  lambda_2 : float;  (** largest eigenvalue below the trivial λ₁ = 1 *)
-  lambda_min : float;  (** most negative eigenvalue λ_n *)
-  ritz : float array;  (** all Ritz values, increasing *)
+  lambda_2 : float;  (** θ₂, the largest Ritz value *)
+  bound_2 : float;  (** some eigenvalue lies in [lambda_2 ± bound_2] *)
+  lambda_min : float;  (** θ_min, the smallest Ritz value *)
+  bound_min : float;  (** some eigenvalue lies in [lambda_min ± bound_min] *)
+  steps : int;  (** Lanczos steps (matrix-vector products) used *)
 }
 
-(** [run ?steps ?deflate rng op] performs at most [steps] Lanczos
-    iterations (default [min (n-1) 100]) on the symmetric operator [op],
-    re-orthogonalising against the whole basis and against the [deflate]
-    vectors, and returns the Ritz values of the tridiagonal matrix. *)
-val run :
-  ?steps:int -> ?deflate:float array list -> Prng.Rng.t -> Op.t -> float array
+(** [tol] = [1e-10], the bound at which both extremes count as
+    converged. *)
+val tol : float
 
-(** [extremes ?steps rng g] estimates λ₂ and λ_n of the walk matrix of the
-    connected regular graph [g] in one sweep (the constant eigenvector is
-    deflated). *)
+(** [extremes ?steps rng g] runs Lanczos on the walk matrix of the
+    connected regular graph [g] from a random start drawn from [rng]
+    ([n] floats). It stops at the first of: both bounds at most {!tol}
+    (checked every [max 4 (m/8)] steps, so a run may pass the step
+    where they first fell below it); [steps] steps (default [4n], at
+    least 64); an invariant subspace (the next β is at most {!tol}).
+    Raises [Invalid_argument] if [g] is not regular. *)
 val extremes : ?steps:int -> Prng.Rng.t -> Graph.View.t -> extremes
-
-(** [lambda_max ?steps rng g] is [max(|λ₂|, |λ_n|)] via {!extremes}. *)
-val lambda_max : ?steps:int -> Prng.Rng.t -> Graph.View.t -> float

@@ -55,15 +55,6 @@ let walk_matrix view =
   in
   { n; apply }
 
-let shift_scale op ~alpha ~beta =
-  let apply ~x ~y =
-    op.apply ~x ~y;
-    for i = 0 to op.n - 1 do
-      y.(i) <- (alpha *. y.(i)) +. (beta *. x.(i))
-    done
-  in
-  { n = op.n; apply }
-
 let apply op x =
   let y = Array.make op.n 0.0 in
   op.apply ~x ~y;

@@ -10,10 +10,5 @@ type t = { n : int; apply : x:float array -> y:float array -> unit }
     the paper); the symmetric eigensolvers check this. *)
 val walk_matrix : Graph.View.t -> t
 
-(** [shift_scale op ~alpha ~beta] is the operator [alpha*M + beta*I]; its
-    spectrum is the affine image of [M]'s. Used to map the walk spectrum
-    into [0, 1] so that power iteration targets λ₂ or λ_n specifically. *)
-val shift_scale : t -> alpha:float -> beta:float -> t
-
 (** [apply op x] allocates and returns [M x]. *)
 val apply : t -> float array -> float array

@@ -26,12 +26,11 @@ let normalize x =
   if n = 0.0 then invalid_arg "Vec.normalize: zero vector";
   scale x (1.0 /. n)
 
-let project_out ~dir x =
-  let c = dot dir x in
-  axpy ~a:(-.c) ~x:dir ~y:x
+let center x =
+  let n = Array.length x in
+  let mean = Array.fold_left ( +. ) 0.0 x /. Float.of_int n in
+  for i = 0 to n - 1 do
+    x.(i) <- x.(i) -. mean
+  done
 
 let random rng n = Array.init n (fun _ -> Prng.Rng.float_range rng ~lo:(-1.0) ~hi:1.0)
-
-let uniform_unit n =
-  if n <= 0 then invalid_arg "Vec.uniform_unit: n must be positive";
-  Array.make n (1.0 /. sqrt (Float.of_int n))

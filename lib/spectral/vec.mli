@@ -17,13 +17,9 @@ val axpy : a:float -> x:float array -> y:float array -> unit
     vector. *)
 val normalize : float array -> unit
 
-(** [project_out ~dir x] removes the component of [x] along the unit
-    vector [dir], in place. *)
-val project_out : dir:float array -> float array -> unit
+(** [center x] subtracts [x]'s mean from every entry, in place: the
+    projection orthogonal to the constant vector. *)
+val center : float array -> unit
 
 (** [random rng n] is a uniform random vector on [-1, 1)^n. *)
 val random : Prng.Rng.t -> int -> float array
-
-(** [uniform_unit n] is the constant unit vector (1/sqrt n, ...), the walk
-    matrix's top eigenvector on regular graphs. *)
-val uniform_unit : int -> float array

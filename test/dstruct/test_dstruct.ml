@@ -1,9 +1,8 @@
 (* Unit and property tests for the dstruct library: bitsets, int vectors,
-   union-find. *)
+   heaps, lane matrices. *)
 
 module Bitset = Dstruct.Bitset
 module Intvec = Dstruct.Intvec
-module Union_find = Dstruct.Union_find
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -533,43 +532,6 @@ let heap_sorts_prop =
       done;
       List.rev !out = List.sort compare ps)
 
-(* ---------- Union_find ---------- *)
-
-let test_union_find_basic () =
-  let u = Union_find.create 10 in
-  check Alcotest.int "initial classes" 10 (Union_find.count u);
-  check Alcotest.bool "union new" true (Union_find.union u 0 1);
-  check Alcotest.bool "union again" false (Union_find.union u 0 1);
-  check Alcotest.bool "same" true (Union_find.same u 0 1);
-  check Alcotest.bool "not same" false (Union_find.same u 0 2);
-  check Alcotest.int "classes" 9 (Union_find.count u)
-
-let test_union_find_chain () =
-  let u = Union_find.create 100 in
-  for i = 0 to 98 do
-    ignore (Union_find.union u i (i + 1))
-  done;
-  check Alcotest.int "one class" 1 (Union_find.count u);
-  check Alcotest.bool "ends connected" true (Union_find.same u 0 99)
-
-let union_find_transitive_prop =
-  QCheck.Test.make ~name:"union-find equivalence is transitive" ~count:200
-    QCheck.(small_list (pair (int_bound 29) (int_bound 29)))
-    (fun pairs ->
-      let u = Union_find.create 30 in
-      List.iter (fun (a, b) -> ignore (Union_find.union u a b)) pairs;
-      (* check transitivity on all triples *)
-      let ok = ref true in
-      for a = 0 to 29 do
-        for b = 0 to 29 do
-          for c = 0 to 29 do
-            if Union_find.same u a b && Union_find.same u b c then
-              ok := !ok && Union_find.same u a c
-          done
-        done
-      done;
-      !ok)
-
 let () =
   Alcotest.run "dstruct"
     [
@@ -619,11 +581,5 @@ let () =
           Alcotest.test_case "basic" `Quick test_heap_basic;
           Alcotest.test_case "grow/clear" `Quick test_heap_clear;
           qtest heap_sorts_prop;
-        ] );
-      ( "union_find",
-        [
-          Alcotest.test_case "basic" `Quick test_union_find_basic;
-          Alcotest.test_case "chain" `Quick test_union_find_chain;
-          qtest union_find_transitive_prop;
         ] );
     ]

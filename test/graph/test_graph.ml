@@ -35,15 +35,17 @@ let test_csr_rejects_bad_edges () =
   Alcotest.check_raises "range" (Invalid_argument "Csr: edge endpoint out of range")
     (fun () -> ignore (Csr.of_edges ~n:3 [ (0, 3) ]))
 
+(* Neighbour reads of a heap CSR graph go through its Graph.View. *)
 let test_csr_nth_and_random_neighbour () =
   let g = Gen.star 5 in
   check Alcotest.int "centre degree" 4 (Csr.degree g 0);
-  check Alcotest.int "nth 2" 3 (Csr.nth_neighbour g 0 2);
+  let v = Graph.View.of_csr g in
+  check Alcotest.int "nth 2" 3 (Graph.View.nth_neighbour v 0 2);
   let rng = Rng.create 3 in
   for _ = 1 to 100 do
-    let w = Csr.random_neighbour g rng 0 in
+    let w = Graph.View.random_neighbour v rng 0 in
     if w < 1 || w > 4 then Alcotest.fail "random neighbour out of star leaves";
-    check Alcotest.int "leaf neighbour is centre" 0 (Csr.random_neighbour g rng w)
+    check Alcotest.int "leaf neighbour is centre" 0 (Graph.View.random_neighbour v rng w)
   done
 
 let test_csr_degree_counts () =
@@ -52,35 +54,6 @@ let test_csr_degree_counts () =
     (Csr.degree_counts g);
   check Alcotest.int "max degree" 4 (Csr.max_degree g);
   check Alcotest.int "min degree" 1 (Csr.min_degree g)
-
-(* The unchecked fast-path accessors must agree with the checked ones on
-   every in-range vertex — this is the safety argument for using them in
-   the Process/Bips/Rwalk inner loops. Random irregular graphs exercise
-   uneven adjacency slices, including empty ones. *)
-let unsafe_accessors_agree_prop =
-  QCheck.Test.make ~name:"unsafe CSR accessors agree with checked" ~count:60
-    QCheck.(pair (int_range 2 60) (int_range 0 10_000))
-    (fun (n, seed) ->
-      let rng = Rng.create seed in
-      let g = Gen.erdos_renyi rng ~n ~p:0.15 in
-      let ok = ref true in
-      for v = 0 to n - 1 do
-        let d = Csr.degree g v in
-        ok := !ok && Csr.unsafe_degree g v = d;
-        for i = 0 to d - 1 do
-          ok := !ok && Csr.unsafe_nth_neighbour g v i = Csr.nth_neighbour g v i
-        done;
-        let checked = ref [] and unchecked = ref [] in
-        Csr.iter_neighbours g v ~f:(fun w -> checked := w :: !checked);
-        Csr.unsafe_iter_neighbours g v ~f:(fun w -> unchecked := w :: !unchecked);
-        ok := !ok && !checked = !unchecked;
-        if d > 0 then begin
-          (* Same draw from identical RNG states. *)
-          let r1 = Rng.create (seed + v) and r2 = Rng.create (seed + v) in
-          ok := !ok && Csr.random_neighbour g r1 v = Csr.unsafe_random_neighbour g r2 v
-        end
-      done;
-      !ok)
 
 let test_csr_equal_monomorphic () =
   let g = Gen.petersen () in
@@ -634,7 +607,6 @@ let () =
           Alcotest.test_case "degree counts" `Quick test_csr_degree_counts;
           Alcotest.test_case "relabel identity" `Quick test_csr_relabel_identity;
           Alcotest.test_case "equal monomorphic" `Quick test_csr_equal_monomorphic;
-          qtest unsafe_accessors_agree_prop;
           qtest relabel_matches_edge_map_prop;
           Alcotest.test_case "relabel validation" `Quick test_csr_relabel_validation;
           qtest csr_roundtrip_prop;

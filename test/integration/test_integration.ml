@@ -122,7 +122,7 @@ let test_degree_independence_small () =
 let test_lemma1_with_estimated_lambda () =
   let rng = Rng.create 6 in
   let g = Gen.random_regular rng ~n:400 ~r:4 in
-  let lambda = Spectral.Power.lambda_max rng g in
+  let lambda = (Spectral.Gap.estimate rng g).Spectral.Gap.lambda in
   let samples = Cobra.Growth.transition_samples g ~branching:B.cobra_k2 ~source:0 ~trials:40 rng in
   let viol = ref 0 and tested = ref 0 in
   (* Pool by exact |A|: compare the bucket mean against the bound. *)
@@ -210,20 +210,22 @@ let test_herd_slower_than_bips () =
   in
   check Alcotest.bool "immunity slows exposure" true (herd_mean > bips_mean /. 2.0)
 
-(* Three independent routes to lambda agree on a nontrivial graph: power
-   iteration, Lanczos, and the actual TV-mixing decay of the walk. *)
+(* Three routes to lambda agree on a nontrivial graph: Lanczos from two
+   independent random starts, each within its certified bound, and the
+   actual TV-mixing decay of the walk. *)
 let test_three_lambdas_agree () =
   let rng = Rng.create 11 in
   let g = Gen.random_regular rng ~n:600 ~r:6 in
-  let power = Spectral.Power.lambda_max (Rng.split rng) g in
-  let lanczos = Spectral.Lanczos.lambda_max (Rng.split rng) g in
+  let a = Spectral.Gap.estimate (Rng.split rng) g in
+  let b = Spectral.Gap.estimate (Rng.split rng) g in
   let decay = Spectral.Mixing.empirical_decay_rate (Graph.View.to_csr g) ~steps:60 ~start:0 in
-  if Float.abs (power -. lanczos) > 5e-4 then
-    Alcotest.failf "power %f vs lanczos %f" power lanczos;
+  let open Spectral.Gap in
+  if Float.abs (a.lambda -. b.lambda) > a.bound +. b.bound +. 1e-12 then
+    Alcotest.failf "lanczos %f ± %g vs %f ± %g" a.lambda a.bound b.lambda b.bound;
   (* The TV decay is asymptotically lambda; finite-t effects leave a
      little slack. *)
-  if Float.abs (power -. decay) > 0.03 then
-    Alcotest.failf "spectral %f vs mixing decay %f" power decay
+  if Float.abs (a.lambda -. decay) > 0.03 then
+    Alcotest.failf "spectral %f vs mixing decay %f" a.lambda decay
 
 (* The contact process embeds the same persistent-source dichotomy as the
    herd model: at supercritical rate with a source, both reach everyone;
@@ -247,7 +249,7 @@ let test_contact_vs_bips_qualitative () =
   | None -> Alcotest.fail "BIPS censored"
 
 (* Spectral premise check: the E6 circulant family's closed-form lambda
-   agrees with the numerical solvers across the sweep. *)
+   lies within the numerical estimate's bound across the sweep. *)
 let test_circulant_family_spectra () =
   let rng = Rng.create 10 in
   List.iter
@@ -255,9 +257,10 @@ let test_circulant_family_spectra () =
       let offsets = List.init m (fun i -> i + 1) in
       let g = Gen.circulant 129 offsets in
       let closed = Spectral.Closed_form.circulant 129 offsets in
-      let numeric = Spectral.Lanczos.lambda_max (Rng.split rng) g in
-      if Float.abs (closed -. numeric) > 1e-4 then
-        Alcotest.failf "m=%d: closed %f vs numeric %f" m closed numeric)
+      let numeric = Spectral.Gap.estimate (Rng.split rng) g in
+      let open Spectral.Gap in
+      if Float.abs (closed -. numeric.lambda) > numeric.bound +. 1e-12 then
+        Alcotest.failf "m=%d: closed %f vs numeric %f ± %g" m closed numeric.lambda numeric.bound)
     [ 2; 4; 8 ]
 
 let () =

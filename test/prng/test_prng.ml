@@ -5,7 +5,6 @@
 
 module Rng = Prng.Rng
 module Splitmix = Prng.Splitmix
-module Xoshiro = Prng.Xoshiro
 module Dist = Prng.Dist
 module Sample = Prng.Sample
 
@@ -119,49 +118,6 @@ let test_bernoulli_extremes () =
     check Alcotest.bool "p<0 never" false (Rng.bernoulli rng (-3.0));
     check Alcotest.bool "p>1 always" true (Rng.bernoulli rng 7.0)
   done
-
-(* ---------- xoshiro ---------- *)
-
-let test_xoshiro_deterministic () =
-  let a = Xoshiro.create 5 and b = Xoshiro.create 5 in
-  for _ = 1 to 50 do
-    check Alcotest.bool "same" true (Int64.equal (Xoshiro.next a) (Xoshiro.next b))
-  done
-
-let test_xoshiro_jump_diverges () =
-  let a = Xoshiro.create 5 in
-  let b = Xoshiro.copy a in
-  Xoshiro.jump b;
-  let collisions = ref 0 in
-  for _ = 1 to 256 do
-    if Int64.equal (Xoshiro.next a) (Xoshiro.next b) then incr collisions
-  done;
-  check Alcotest.int "jumped stream independent" 0 !collisions
-
-let test_xoshiro_float_and_int () =
-  let rng = Xoshiro.create 8 in
-  for _ = 1 to 1000 do
-    let f = Xoshiro.float rng in
-    if f < 0.0 || f >= 1.0 then Alcotest.failf "xoshiro float out of range: %f" f;
-    let i = Xoshiro.int rng 17 in
-    if i < 0 || i >= 17 then Alcotest.failf "xoshiro int out of range: %d" i
-  done
-
-(* Cross-check: the two generators agree on the mean of Uniform[0,1) to
-   within many standard errors — a smoke test of both. *)
-let test_generators_agree_on_mean () =
-  let sm = Rng.create 123 and xo = Xoshiro.create 123 in
-  let n = 200_000 in
-  let mean f =
-    let acc = ref 0.0 in
-    for _ = 1 to n do acc := !acc +. f () done;
-    !acc /. Float.of_int n
-  in
-  let m1 = mean (fun () -> Rng.float sm) in
-  let m2 = mean (fun () -> Xoshiro.float xo) in
-  (* sd of mean ~ 0.00065; allow 10 sd *)
-  close ~eps:0.0065 "splitmix mean vs 0.5" m1 0.5;
-  close ~eps:0.0065 "xoshiro mean vs 0.5" m2 0.5
 
 (* ---------- distributions ---------- *)
 
@@ -566,13 +522,6 @@ let () =
           Alcotest.test_case "int edge bounds" `Quick test_int_edge_bounds;
           Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_extremes;
           qtest rng_int_unbiased_prop;
-        ] );
-      ( "xoshiro",
-        [
-          Alcotest.test_case "deterministic" `Quick test_xoshiro_deterministic;
-          Alcotest.test_case "jump diverges" `Quick test_xoshiro_jump_diverges;
-          Alcotest.test_case "float/int ranges" `Quick test_xoshiro_float_and_int;
-          Alcotest.test_case "generators agree on mean" `Quick test_generators_agree_on_mean;
         ] );
       ( "dist",
         [

@@ -1,11 +1,10 @@
 (* Tests for the stats library: summaries, quantiles, intervals,
-   regression, histograms, tables. *)
+   regression, sparklines, tables. *)
 
 module Summary = Stats.Summary
 module Quantile = Stats.Quantile
 module Ci = Stats.Ci
 module Regress = Stats.Regress
-module Histogram = Stats.Histogram
 module Table = Stats.Table
 
 let check = Alcotest.check
@@ -363,32 +362,6 @@ let test_regress_errors () =
     (Invalid_argument "Regress.loglog: values must be positive") (fun () ->
       ignore (Regress.loglog [| 1.0; -2.0 |] [| 1.0; 2.0 |]))
 
-(* ---------- Histogram ---------- *)
-
-let test_histogram_binning () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-  List.iter (fun x -> Histogram.add ~h x) [ 0.0; 1.9; 2.0; 5.5; 9.99; -1.0; 10.0; 42.0 ];
-  check Alcotest.(array int) "counts" [| 2; 1; 1; 0; 1 |] (Histogram.counts h);
-  check Alcotest.int "underflow" 1 (Histogram.underflow h);
-  check Alcotest.int "overflow" 2 (Histogram.overflow h);
-  check Alcotest.int "total" 8 (Histogram.total h);
-  let lo, hi = Histogram.bin_range h 1 in
-  close "bin lo" 2.0 lo;
-  close "bin hi" 4.0 hi
-
-let test_histogram_of_array () =
-  let h = Histogram.of_array ~bins:4 [| 1.0; 2.0; 3.0; 4.0 |] in
-  check Alcotest.int "all observed" 4 (Histogram.total h);
-  check Alcotest.int "no overflow" 0 (Histogram.overflow h)
-
-let histogram_conservation_prop =
-  QCheck.Test.make ~name:"histogram conserves observations" ~count:200
-    QCheck.(list_of_size (Gen.int_range 1 50) (float_range (-10.0) 10.0))
-    (fun xs ->
-      let h = Histogram.create ~lo:(-5.0) ~hi:5.0 ~bins:7 in
-      List.iter (fun x -> Histogram.add ~h x) xs;
-      Histogram.total h = List.length xs)
-
 (* ---------- Sparkline ---------- *)
 
 module Sparkline = Stats.Sparkline
@@ -487,12 +460,6 @@ let () =
           Alcotest.test_case "power law" `Quick test_loglog_power_law;
           Alcotest.test_case "semilog" `Quick test_semilog;
           Alcotest.test_case "errors" `Quick test_regress_errors;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "binning" `Quick test_histogram_binning;
-          Alcotest.test_case "of_array" `Quick test_histogram_of_array;
-          qtest histogram_conservation_prop;
         ] );
       ( "sparkline",
         [

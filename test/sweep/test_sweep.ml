@@ -6,8 +6,7 @@
 
 module K = Cobra.Kernel
 module B = Cobra.Branching
-(* Kernels consume Graph.View; the bench-local reference loops below
-   read the heap CSR back out of the view (free). *)
+(* Kernels and the reference loops below consume Graph.View. *)
 module GenC = Graph.Gen
 
 module Gen = struct
@@ -239,8 +238,7 @@ let same_tail msg a b =
 (* Pre-rewrite push protocol loop: full 0..n-1 scan with per-vertex
    membership tests. *)
 let push_reference ?cap g ~start rng =
-  let g = Graph.View.to_csr g in
-  let n = Graph.Csr.n_vertices g in
+  let n = Graph.View.n_vertices g in
   let cap = match cap with Some c -> c | None -> 10_000 + (100 * n) in
   let informed = Bitset.create n in
   Bitset.add informed start;
@@ -250,7 +248,7 @@ let push_reference ?cap g ~start rng =
     for u = 0 to n - 1 do
       if Bitset.mem informed u then begin
         incr transmissions;
-        let w = Graph.Csr.random_neighbour g rng u in
+        let w = Graph.View.random_neighbour g rng u in
         if not (Bitset.mem informed w) then newly := w :: !newly
       end
     done;
@@ -1404,6 +1402,88 @@ let test_lane_goldens () =
         backends)
     lane_golden_cases
 
+(* ---------- allocation ----------
+
+   Minor words allocated per round by the steps themselves, counted with
+   [Gc.minor_words] over a run of rounds on random 4-regular graphs at
+   two sizes, less the same count over zero rounds (the counter's own
+   boxed floats). A sliced stepper may allocate a few words per round,
+   but nothing per vertex: at most [sliced_limit] words per round at
+   either size. The scalar steps below allocate nothing at all. *)
+
+let sliced_limit = 16.0
+
+let alloc_graph n = Gen.random_regular (Rng.create n) ~n ~r:4
+
+(* Words allocated by [rounds ()] steps of [step], [finished] stopping
+   the run early, and the number of rounds played. *)
+let minor_words ~max_rounds ~finished step =
+  let played = ref 0 in
+  let before = Gc.minor_words () in
+  while !played < max_rounds && not (finished ()) do
+    step ();
+    incr played
+  done;
+  (Gc.minor_words () -. before, !played)
+
+let words_per_round ~max_rounds ~finished step =
+  let idle, _ = minor_words ~max_rounds:0 ~finished step in
+  let words, played = minor_words ~max_rounds ~finished step in
+  if played = 0 then Alcotest.fail "no round played";
+  ((words -. idle) /. Float.of_int played, played)
+
+let test_sliced_steps_allocation () =
+  let params = { p0 with K.recovery = 0.25; persistent = true } in
+  List.iter
+    (fun n ->
+      let g = alloc_graph n in
+      List.iter
+        (fun (s : Cobra.Lanes.t) ->
+          let gen = Prng.Lanes.create (Array.init 64 (fun j -> 1000 + j)) in
+          let inst = s.Cobra.Lanes.create g params gen in
+          let live_lo = ref 0 and live_hi = ref 0 in
+          let all_lo, all_hi = Dstruct.Lanemat.lane_mask 64 in
+          let finished () =
+            let dlo, dhi = inst.Cobra.Lanes.done_mask () in
+            live_lo := all_lo land lnot dlo;
+            live_hi := all_hi land lnot dhi;
+            !live_lo lor !live_hi = 0
+          in
+          let step () = inst.Cobra.Lanes.step ~live_lo:!live_lo ~live_hi:!live_hi in
+          let per_round, played = words_per_round ~max_rounds:200 ~finished step in
+          if per_round > sliced_limit then
+            Alcotest.failf "sliced %s at n = %d: %.1f minor words per round over %d rounds"
+              s.Cobra.Lanes.name n per_round played)
+        (Cobra.Lanes.all @ Epidemic.Lanes.all))
+    [ 1024; 16384 ]
+
+let test_scalar_steps_allocation () =
+  List.iter
+    (fun (kernel, params, sizes) ->
+      List.iter
+        (fun n ->
+          let g = alloc_graph n in
+          let inst = kernel.K.create g params in
+          let rng = Rng.create 7 in
+          let per_round, played =
+            words_per_round ~max_rounds:200 ~finished:inst.K.is_complete (fun () ->
+                inst.K.step rng)
+          in
+          if per_round > 0.0 then
+            Alcotest.failf "scalar %s at n = %d: %.1f minor words per round over %d rounds"
+              kernel.K.name n per_round played)
+        sizes)
+    [
+      (K.bips, p0, [ 1024; 16384 ]);
+      (Epidemic.Kernels.sis, { p0 with K.recovery = 0.25; persistent = true }, [ 1024; 16384 ]);
+      (K.rwalk, p0, [ 1024; 16384 ]);
+      (* Above about 8k vertices the herd's old per-round bitset copy
+         went straight to the major heap, where minor words miss it. *)
+      ( Epidemic.Kernels.herd,
+        { p0 with K.persistent = true; infectious_rounds = 2; immune_rounds = 4 },
+        [ 1024; 4096 ] );
+    ]
+
 let () =
   Alcotest.run "sweep"
     [
@@ -1496,5 +1576,12 @@ let () =
       ( "lane-goldens",
         [
           Alcotest.test_case "outcomes pinned bit for bit" `Quick test_lane_goldens;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "sliced steps: no words per vertex" `Quick
+            test_sliced_steps_allocation;
+          Alcotest.test_case "scalar bips, sis, rwalk, herd: no words" `Quick
+            test_scalar_steps_allocation;
         ] );
     ]
