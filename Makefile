@@ -109,8 +109,11 @@ bench-json:
 # 4-regular and hypercube instances at n = 10^4, 10^5, 10^6 on the heap
 # backend, then the backend rows — rr4 on off-heap Bigarray CSR
 # (n = 10^7 full) and the implicit d = 24 hypercube with no materialised
-# topology — with peak RSS reported. The smoke variant (n = 10^4,
-# bigarray n = 10^4, implicit d = 14) is the CI gate.
+# topology — with peak RSS reported, each backend followed by 12 Lanczos
+# steps printed as theta ± bound. Fails when a bound is not finite or the
+# implicit hypercube's Ritz values have no eigenvalue 1 - 2k/d within
+# their bounds. The smoke variant (n = 10^4, bigarray n = 10^4, implicit
+# d = 14) is the CI gate.
 bench-scale:
 	dune exec bench/main.exe -- scale --json BENCH_$$(date +%Y-%m-%d).json
 

@@ -18,9 +18,12 @@
    skips Bechamel and instead wall-clocks generation plus one full COBRA
    cover on million-vertex-class instances (random 4-regular and
    hypercube at n = 10^4, 10^5, 10^6; --smoke keeps only n = 10^4),
-   reporting peak RSS from /proc. These rows land in the "scale/"
-   section of the JSON file, so `make bench-compare` gates them like any
-   other section.
+   reporting peak RSS from /proc, then the backend rows, each with a
+   12-step Lanczos row printed as theta ± bound. It exits 1 when a bound
+   is not finite, or when the implicit hypercube's theta_2 or theta_min
+   has no closed-form eigenvalue 1 - 2k/d within its bound. These rows
+   land in the "scale/" section of the JSON file, so `make bench-compare`
+   gates them like any other section.
 
    Part 5 (lanes): `bench/main.exe -- lanes [--smoke] [--json FILE]`
    wall-clocks the same 64-trial batch of BIPS and SIS through the
@@ -315,7 +318,8 @@ let run_scale ~smoke ~json_path =
     in
     row (prefix ^ label) dt;
     let open Spectral.Lanczos in
-    Printf.printf "    (theta_2 = %+.4f ± %.1e, theta_min = %+.4f ± %.1e after %d Lanczos steps)\n%!"
+    Printf.printf
+      "    (theta_2 = %+.4f ± %.1e, theta_min = %+.4f ± %.1e after %d Lanczos steps)\n%!"
       e.lambda_2 e.bound_2 e.lambda_min e.bound_min e.steps;
     if not (Float.is_finite e.bound_2 && Float.is_finite e.bound_min) then
       bad_bounds := (label ^ ": bound not finite") :: !bad_bounds;
@@ -336,7 +340,9 @@ let run_scale ~smoke ~json_path =
   let ext_i = lanczos12 "scale/lanczos12-implicit-" ilabel gi in
   let near_eigenvalue theta b =
     List.exists
-      (fun k -> Float.abs (theta -. (1.0 -. (2.0 *. float_of_int k /. float_of_int d_imp))) <= b +. 1e-12)
+      (fun k ->
+        let mu = 1.0 -. (2.0 *. float_of_int k /. float_of_int d_imp) in
+        Float.abs (theta -. mu) <= b +. 1e-12)
       (List.init d_imp (fun k -> k + 1))
   in
   List.iter
@@ -346,7 +352,10 @@ let run_scale ~smoke ~json_path =
           Printf.sprintf "%s: %s = %f has no eigenvalue 1 - 2k/d within %.1e" ilabel name theta b
           :: !bad_bounds)
     Spectral.Lanczos.
-      [ ("theta_2", ext_i.lambda_2, ext_i.bound_2); ("theta_min", ext_i.lambda_min, ext_i.bound_min) ];
+      [
+        ("theta_2", ext_i.lambda_2, ext_i.bound_2);
+        ("theta_min", ext_i.lambda_min, ext_i.bound_min);
+      ];
   rss_note ();
   (match peak_rss_kib () with
   | Some kib -> Printf.printf "peak RSS: %.1f MiB\n" (float_of_int kib /. 1024.0)

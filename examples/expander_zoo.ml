@@ -2,9 +2,10 @@
 
    For a menagerie of graph families this prints everything the paper
    cares about: the degree, the numerically estimated λ with its Lanczos
-   bound (checked against closed forms where they exist), the Cheeger conductance range,
-   whether the Theorem 1 premise gap >> sqrt(log n / n) holds, the
-   measured COBRA k=2 cover time, and the theory scale log n / gap³.
+   bound (checked against closed forms where they exist), the Cheeger
+   conductance range, whether the Theorem 1 premise gap >> sqrt(log n / n)
+   holds, the measured COBRA k=2 cover time, and the theory scale
+   log n / gap³.
 
    Run with: dune exec examples/expander_zoo.exe *)
 
@@ -58,7 +59,9 @@ let () =
           let gap = Spectral.Gap.estimate (Prng.Rng.split rng) g in
           (match closed_form with
           | Some expected ->
-            assert (Float.abs (expected -. gap.Spectral.Gap.lambda) <= gap.Spectral.Gap.bound +. 1e-12)
+            assert (
+              Float.abs (expected -. gap.Spectral.Gap.lambda)
+              <= gap.Spectral.Gap.bound +. 1e-12)
           | None -> ());
           ( Printf.sprintf "%.4f ± %.0e" gap.Spectral.Gap.lambda gap.Spectral.Gap.bound,
             Printf.sprintf "%.1fx" (Spectral.Gap.satisfies_gap_condition ~n gap),

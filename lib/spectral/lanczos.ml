@@ -29,46 +29,41 @@ let extremes ?steps rng g =
   let n = Graph.View.n_vertices g in
   let max_steps = match steps with Some s -> max 1 s | None -> max 64 (4 * n) in
   let op = Op.walk_matrix g in
-  let q = ref (Vec.random rng n) in
-  (* Centring every iterate keeps it orthogonal to the constant vector,
-     the trivial eigenvector of a regular graph's walk matrix. *)
-  Vec.center !q;
-  Vec.normalize !q;
-  let q_prev = ref (Array.make n 0.0) and w = ref (Array.make n 0.0) in
   let alpha = ref (Array.make 64 0.0) and beta = ref (Array.make 64 0.0) in
-  (* The bisection costs O(m) per extreme, so the bounds are checked
-     every m/8 steps, not every step. *)
-  let rec go m next_check =
+  (* [q] is the current unit Lanczos vector, [q_prev] the one before it,
+     [w] scratch for the next. The bisection costs O(m) per extreme, so
+     the bounds are checked every m/8 steps, not every step. *)
+  let rec go m next_check q q_prev w =
     if m > Array.length !alpha then begin
       alpha := Array.append !alpha !alpha;
       beta := Array.append !beta !beta
     end;
-    let q0 = !q and qp = !q_prev and w0 = !w in
-    op.Op.apply ~x:q0 ~y:w0;
-    let a = Vec.dot q0 w0 in
-    Vec.axpy ~a:(-.a) ~x:q0 ~y:w0;
-    if m > 1 then Vec.axpy ~a:(-. !beta.(m - 2)) ~x:qp ~y:w0;
-    Vec.center w0;
-    let b = Vec.norm2 w0 in
+    op.Op.apply ~x:q ~y:w;
+    let a = Vec.dot q w in
+    Vec.axpy ~a:(-.a) ~x:q ~y:w;
+    if m > 1 then Vec.axpy ~a:(-. !beta.(m - 2)) ~x:q_prev ~y:w;
+    Vec.center w;
+    let b = Vec.norm2 w in
     !alpha.(m - 1) <- a;
     !beta.(m - 1) <- b;
     let stop = m >= max_steps || b <= tol in
-    let result =
-      if stop || m >= next_check then
-        let e =
-          ritz_extremes ~diag:(Array.sub !alpha 0 m) ~off:(Array.sub !beta 0 (m - 1))
-            ~beta:b ~steps:m
-        in
-        if stop || (e.bound_2 <= tol && e.bound_min <= tol) then Some e else None
+    let check = stop || m >= next_check in
+    let e =
+      if check then
+        Some
+          (ritz_extremes ~diag:(Array.sub !alpha 0 m) ~off:(Array.sub !beta 0 (m - 1))
+             ~beta:b ~steps:m)
       else None
     in
-    match result with
-    | Some e -> e
-    | None ->
-      Vec.scale w0 (1.0 /. b);
-      q_prev := q0;
-      q := w0;
-      w := qp;
-      go (m + 1) (if m >= next_check then m + max 4 (m / 8) else next_check)
+    match e with
+    | Some e when stop || (e.bound_2 <= tol && e.bound_min <= tol) -> e
+    | _ ->
+      Vec.scale w (1.0 /. b);
+      go (m + 1) (if check then m + max 4 (m / 8) else next_check) w q q_prev
   in
-  go 1 4
+  (* Centring every iterate keeps it orthogonal to the constant vector,
+     the trivial eigenvector of a regular graph's walk matrix. *)
+  let q = Vec.random rng n in
+  Vec.center q;
+  Vec.normalize q;
+  go 1 4 q (Array.make n 0.0) (Array.make n 0.0)

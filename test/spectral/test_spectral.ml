@@ -135,7 +135,8 @@ let test_tridiag_eigenvector () =
    recurrence round at about 1e-16, so every comparison allows this. *)
 let rounding = 1e-12
 
-let hypercube_spectrum d = Array.init (d + 1) (fun k -> 1.0 -. (2.0 *. Float.of_int k /. Float.of_int d))
+let hypercube_spectrum d =
+  Array.init (d + 1) (fun k -> 1.0 -. (2.0 *. Float.of_int k /. Float.of_int d))
 
 (* Every nontrivial walk eigenvalue of the family (duplicates kept). *)
 let spectrum_cases =
