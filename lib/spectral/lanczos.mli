@@ -10,13 +10,17 @@
     inverse iteration's residual ‖(T_m − θ)s‖, normally about 1e-16)
     bounds the distance from θ to the spectrum: {b some} eigenvalue of
     the walk matrix, other than the trivial 1, lies in [θ ± b] (Paige).
+    That holds in exact arithmetic; rounding in the recurrence has added
+    up to 1.5e-15 on the families tested, which test/spectral allows
+    for with 1e-12.
 
     That eigenvalue need not be the extreme one. After a fixed, small
     number of steps a Ritz value can sit close to an interior
-    eigenvalue: 12 steps on [hypercube:14] gave θ_min = −0.865 ± 0.083,
-    nearest the eigenvalue −0.857, while λ_n = −1. When the run stops on
-    the tolerance, θ₂ and θ_min have matched the extreme closed forms
-    within their bounds on every family tested (test/spectral). *)
+    eigenvalue: the 12 steps of [make bench-scale] on the implicit d = 24
+    hypercube give θ_min = −0.931 ± 0.13, nearest the eigenvalue −0.917,
+    while λ_n = −1. When the run stops on the tolerance, θ₂ and θ_min
+    have matched the extreme closed forms within their bounds on every
+    family tested (test/spectral). *)
 
 type extremes = {
   lambda_2 : float;  (** θ₂, the largest Ritz value *)
