@@ -792,7 +792,7 @@ let spectral_cmd =
       let gap = Spectral.Gap.of_extremes e in
       Printf.printf "%s\n" (Format.asprintf "%a" Spectral.Gap.pp gap);
       let n = Graph.View.n_vertices g in
-      Printf.printf "theorem-1 scale log n / gap^3 = %.1f rounds; premise gap/sqrt(log n/n) = %.2f\n"
+      Printf.printf "theorem-1 scale log n / gap^3 = %.3g rounds; premise gap/sqrt(log n/n) = %.3g\n"
         (Spectral.Gap.theorem1_bound ~n gap)
         (Spectral.Gap.satisfies_gap_condition ~n gap)
     | _ ->

@@ -117,7 +117,11 @@ let degree t v =
     done;
     !acc
   | Circulant { n; offsets } ->
-    Array.fold_left (fun acc o -> acc + if 2 * o = n then 1 else 2) 0 offsets
+    let acc = ref 0 in
+    for j = 0 to Array.length offsets - 1 do
+      acc := !acc + if 2 * offsets.(j) = n then 1 else 2
+    done;
+    !acc
 
 let min_degree t =
   match t with
@@ -157,14 +161,33 @@ let regularity t =
    yields a smaller value (the higher the bit, the smaller the result),
    setting a clear bit a larger one (the lower the bit, the smaller the
    result). So: set bits from high to low, then clear bits from low to
-   high. *)
-let iter_hypercube d v f =
+   high. [extra], a vertex that is no hypercube neighbour of [v] (the
+   folded hypercube's complement edge; [max_int] for none), goes in at
+   its place in that order. Neither [f] nor [extra] needs a closure or a
+   cell of its own, so a walk over every vertex allocates nothing. *)
+let iter_hypercube d v ~extra f =
+  let extra = ref extra in
   for b = d - 1 downto 0 do
-    if (v lsr b) land 1 = 1 then f (v lxor (1 lsl b))
+    if (v lsr b) land 1 = 1 then begin
+      let w = v lxor (1 lsl b) in
+      if !extra < w then begin
+        f !extra;
+        extra := max_int
+      end;
+      f w
+    end
   done;
   for b = 0 to d - 1 do
-    if (v lsr b) land 1 = 0 then f (v lor (1 lsl b))
-  done
+    if (v lsr b) land 1 = 0 then begin
+      let w = v lor (1 lsl b) in
+      if !extra < w then begin
+        f !extra;
+        extra := max_int
+      end;
+      f w
+    end
+  done;
+  if !extra < max_int then f !extra
 
 (* Bit position of the (k+1)-th set bit of [v] scanning down from
    [b]; total number of set bits below [b]+1 must exceed [k]. *)
@@ -194,45 +217,46 @@ let folded_rank d v =
   done;
   !r
 
-(* Candidate enumeration (unordered) for the families whose neighbours
-   are not monotone in any single scan: each candidate is distinct, so
-   an ascending pass just repeatedly selects the least candidate above
-   the previous one. Degrees are O(dims), so the quadratic selection is
-   a handful of operations. *)
-let iter_candidates t v f =
-  match t with
+(* The families whose neighbours are not monotone in any single scan
+   select them: [least_above t v prev] is the least neighbour of [v]
+   above [prev] ([max_int] when none is), found by comparing every
+   candidate. The candidates are distinct, so taking the least one above
+   the previous one, over and over, walks the sorted slice. Degrees are
+   O(dims), so the quadratic selection is a handful of operations, and
+   it runs in loops over ints: no closure, no cell. *)
+let least_of prev best w = if w > prev && w < best then w else best
+
+let least_above t v prev =
+  let best = ref max_int in
+  (match t with
   | Lattice { dims; stride; wrap; _ } ->
     for i = 0 to Array.length dims - 1 do
       let side = dims.(i) and st = stride.(i) in
-      if side = 2 then begin
-        let c = v / st mod side in
-        f (if c = 0 then v + st else v - st)
-      end
+      let c = v / st mod side in
+      if side = 2 then best := least_of prev !best (if c = 0 then v + st else v - st)
       else if side > 2 then begin
-        let c = v / st mod side in
-        if c > 0 then f (v - st) else if wrap then f (v + ((side - 1) * st));
-        if c + 1 < side then f (v + st)
-        else if wrap then f (v - ((side - 1) * st))
+        if c > 0 then best := least_of prev !best (v - st)
+        else if wrap then best := least_of prev !best (v + ((side - 1) * st));
+        if c + 1 < side then best := least_of prev !best (v + st)
+        else if wrap then best := least_of prev !best (v - ((side - 1) * st))
       end
     done
   | Circulant { n; offsets } ->
-    Array.iter
-      (fun o ->
-        f ((v + o) mod n);
-        if 2 * o <> n then f ((v - o + n) mod n))
-      offsets
+    for j = 0 to Array.length offsets - 1 do
+      let o = offsets.(j) in
+      best := least_of prev !best ((v + o) mod n);
+      if 2 * o <> n then best := least_of prev !best ((v - o + n) mod n)
+    done
   | Complete _ | Cycle _ | Path _ | Hypercube _ | Folded_hypercube _ ->
-    invalid_arg "Implicit.iter_candidates: family has a direct enumeration"
+    invalid_arg "Implicit.least_above: family has a direct enumeration");
+  !best
 
 let select_nth t v i =
-  let prev = ref (-1) in
-  let best = ref max_int in
+  let w = ref (-1) in
   for _ = 0 to i do
-    best := max_int;
-    iter_candidates t v (fun w -> if w > !prev && w < !best then best := w);
-    prev := !best
+    w := least_above t v !w
   done;
-  !best
+  !w
 
 let nth t v i =
   match t with
@@ -285,23 +309,11 @@ let iter t v ~f =
       f (v - 1);
       f (v + 1)
     end
-  | Hypercube d -> iter_hypercube d v f
-  | Folded_hypercube d ->
-    let y = v lxor ((1 lsl d) - 1) in
-    let emitted = ref false in
-    iter_hypercube d v (fun w ->
-        if (not !emitted) && y < w then begin
-          f y;
-          emitted := true
-        end;
-        f w);
-    if not !emitted then f y
+  | Hypercube d -> iter_hypercube d v ~extra:max_int f
+  | Folded_hypercube d -> iter_hypercube d v ~extra:(v lxor ((1 lsl d) - 1)) f
   | Lattice _ | Circulant _ ->
-    let deg = degree t v in
-    let prev = ref (-1) in
-    for _ = 1 to deg do
-      let best = ref max_int in
-      iter_candidates t v (fun w -> if w > !prev && w < !best then best := w);
-      f !best;
-      prev := !best
+    let w = ref (-1) in
+    for _ = 1 to degree t v do
+      w := least_above t v !w;
+      f !w
     done

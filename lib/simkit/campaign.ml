@@ -192,13 +192,24 @@ let event_to_string = function
 
 (* ---------- filesystem layout ----------
 
-   Every record is written with [Fsutil.write_atomic] or linked with
+   Every record is written with [Fsutil.write_with] or linked with
    [Fsutil.link_atomic]: a kill leaves either no record or a complete
    one, never a half-written record masquerading as a checkpoint. *)
 
 let cell_file_name index = Printf.sprintf "cell_%05d.json" index
 
 let cell_rel_path index = Filename.concat "cells" (cell_file_name index)
+
+(* The campaign-wide documents ([grid.json], [manifest.json]) grow with
+   the cell count, so they stream into their temp file instead of being
+   rendered as one string: the same bytes as
+   [Json.to_string ~pretty:true doc ^ "\n"]. *)
+let write_document path doc =
+  Fsutil.write_with path
+    (fun oc ->
+      Json.output ~pretty:true oc doc;
+      output_char oc '\n')
+    ignore
 
 (* ---------- record shapes ---------- *)
 
@@ -348,7 +359,7 @@ let load_or_init_grid config ~name ~cells =
                 grid or cell parameters differ); refusing to mix checkpoints"
                path)
   else begin
-    Fsutil.write_atomic path (Json.to_string ~pretty:true desired ^ "\n");
+    write_document path desired;
     Ok ()
   end
 
@@ -471,7 +482,7 @@ let finalize plan =
         ]
     in
     let path = Filename.concat config.dir "manifest.json" in
-    Fsutil.write_atomic path (Json.to_string ~pretty:true doc ^ "\n");
+    write_document path doc;
     Some path
   end
 

@@ -25,17 +25,19 @@ let hold path fd =
   let st = Unix.fstat fd in
   { path; dev = st.Unix.st_dev; ino = st.Unix.st_ino }
 
-let write_held path content f =
+let write_with path emit f =
   with_tmp path (fun tmp ->
       let oc = open_out_bin tmp in
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
         (fun () ->
-          output_string oc content;
+          emit oc;
           flush oc;
           let file = hold path (Unix.descr_of_out_channel oc) in
           Sys.rename tmp path;
           f file))
+
+let write_held path content f = write_with path (fun oc -> output_string oc content) f
 
 let write_atomic path content = write_held path content ignore
 

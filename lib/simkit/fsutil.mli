@@ -2,7 +2,8 @@
     result cache ({!Cellstore}), the event log ({!Eventlog}) and the
     campaign daemon.
 
-    Both writers below build the new file under a temp name beside the
+    The one writer ({!write_with}, and its string forms) and the linker
+    ({!link_atomic}) build the new file under a temp name beside the
     target and rename it over the target; neither ever modifies an
     existing file in place. The temp name is unique to the writer
     (process id plus a process-wide counter), so two writers putting the
@@ -24,16 +25,24 @@ val mkdir_p : string -> unit
     modifies a published file in place. *)
 type held
 
-(** [write_atomic path content] writes [content] to a temp file beside
-    [path] and renames it over [path]: a kill leaves either the old file
-    or the complete new one, never a torn record. Raises [Sys_error] if
-    the write or the rename fails (for example when [path] is a
-    non-empty directory), after removing the temp file. *)
-val write_atomic : string -> string -> unit
+(** [write_with path emit f] is the one atomic writer: [emit] writes the
+    new contents into a channel on a temp file beside [path], the temp
+    file is renamed over [path], and [f] runs on the file just
+    published, held open until [f] returns. A kill leaves either the old
+    file or the complete new one, never a torn record. [emit] may write
+    in as many pieces as it likes ({!Json.output} streams a document of
+    any size through a few KiB); the channel buffers them. Raises if
+    [emit] raises, or [Sys_error] if the write or the rename fails (for
+    example when [path] is a non-empty directory), after removing the
+    temp file. *)
+val write_with : string -> (out_channel -> unit) -> (held -> 'a) -> 'a
 
-(** [write_held path content f] is {!write_atomic}, then [f] on the file
-    just published at [path], held open until [f] returns. *)
+(** [write_held path content f] is {!write_with} given
+    [output_string _ content]. *)
 val write_held : string -> string -> (held -> 'a) -> 'a
+
+(** [write_atomic path content] is [write_held path content ignore]. *)
+val write_atomic : string -> string -> unit
 
 (** [read path f] opens [path], reads all of it, and runs [f] on its
     bytes and the file, held open until [f] returns. Total in the read:

@@ -80,8 +80,13 @@ let rec add_spaces buf n =
     add_spaces buf (n - String.length spaces)
   end
 
-let to_string ?(pretty = false) v =
-  let buf = Buffer.create 1024 in
+(* One emitter for every output: it writes [v]'s tokens into [buf] and
+   calls [spill buf] between the elements of every list, which is where
+   a campaign document grows with its cell count. [to_string] spills
+   nothing; [output] empties the buffer into its channel there once it
+   holds [chunk] bytes, so such a document streams through one small
+   buffer. *)
+let emit ~pretty ~spill buf v =
   (* Pretty output puts every element on its own line, indented two
      spaces per level. *)
   let newline level =
@@ -90,7 +95,7 @@ let to_string ?(pretty = false) v =
       add_spaces buf (2 * level)
     end
   in
-  let rec emit level = function
+  let rec value level = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Int i -> add_int buf i
@@ -100,12 +105,13 @@ let to_string ?(pretty = false) v =
     | List (first :: rest) ->
       Buffer.add_char buf '[';
       newline (level + 1);
-      emit (level + 1) first;
+      value (level + 1) first;
       List.iter
         (fun item ->
+          spill buf;
           Buffer.add_char buf ',';
           newline (level + 1);
-          emit (level + 1) item)
+          value (level + 1) item)
         rest;
       newline level;
       Buffer.add_char buf ']'
@@ -124,11 +130,28 @@ let to_string ?(pretty = false) v =
     newline (level + 1);
     add_escaped buf k;
     Buffer.add_string buf (if pretty then ": " else ":");
-    emit (level + 1) item
+    value (level + 1) item
   in
-  emit 0 v;
-  if pretty then Buffer.add_char buf '\n';
+  value 0 v;
+  if pretty then Buffer.add_char buf '\n'
+
+let to_string ?(pretty = false) v =
+  let buf = Buffer.create 1024 in
+  emit ~pretty ~spill:ignore buf v;
   Buffer.contents buf
+
+let chunk = 4096
+
+let output ?(pretty = false) oc v =
+  let buf = Buffer.create chunk in
+  let spill buf =
+    if Buffer.length buf >= chunk then begin
+      Buffer.output_buffer oc buf;
+      Buffer.clear buf
+    end
+  in
+  emit ~pretty ~spill buf v;
+  Buffer.output_buffer oc buf
 
 (* ---------- parsing ---------- *)
 

@@ -27,6 +27,15 @@ type t =
     reference). *)
 val to_string : ?pretty:bool -> t -> string
 
+(** [output ?pretty oc v] writes the bytes of [to_string ?pretty v] to
+    [oc] without building them as one string: the same emitter fills a
+    buffer of a few KiB, which goes to [oc] between list elements
+    whenever it is full. A document of any length costs that buffer
+    (grown only to hold a list element longer than it), so a campaign's
+    [grid.json] or [manifest.json] streams into its temp file instead of
+    being built in the major heap. *)
+val output : ?pretty:bool -> out_channel -> t -> unit
+
 (** [digest v] is the hex MD5 of [to_string v] (the compact form): the
     content digest of campaign records, cache records and cell meta. *)
 val digest : t -> string

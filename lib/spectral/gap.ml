@@ -15,4 +15,4 @@ let satisfies_gap_condition ~n t =
   if n < 2 then invalid_arg "Gap.satisfies_gap_condition: n >= 2";
   t.gap /. sqrt (log (Float.of_int n) /. Float.of_int n)
 
-let pp ppf t = Format.fprintf ppf "lambda=%.6f ± %.1e gap=%.6f" t.lambda t.bound t.gap
+let pp ppf t = Format.fprintf ppf "lambda=%.6f ± %.1e gap=%.3g" t.lambda t.bound t.gap

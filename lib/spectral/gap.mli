@@ -27,5 +27,7 @@ val theorem1_bound : n:int -> t -> float
     [gap / sqrt (log n / n)] (values well above 1 satisfy it). *)
 val satisfies_gap_condition : n:int -> t -> float
 
-(** [pp] prints [lambda=… ± bound gap=…]. *)
+(** [pp] prints [lambda=… ± bound gap=…]: λ with six decimals, the gap
+    with three significant digits ([%.3g]), so a gap of 5.49e-6 prints
+    as [5.49e-06], not as [0.000005]. *)
 val pp : Format.formatter -> t -> unit

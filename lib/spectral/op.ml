@@ -32,12 +32,18 @@ let big_apply g n ~x ~y =
     y.(v) <- (if hi > lo then !acc /. Float.of_int (hi - lo) else 0.0)
   done
 
+(* One accumulator cell and one closure per matvec, not per vertex: a
+   float ref captured by a per-vertex closure would box every partial
+   sum. The sum still runs from 0.0 over the neighbours in ascending
+   order, as on the other backends. *)
 let implicit_apply g n ~x ~y =
+  let acc = [| 0.0 |] in
+  let add w = Array.unsafe_set acc 0 (Array.unsafe_get acc 0 +. Array.unsafe_get x w) in
   for v = 0 to n - 1 do
     let d = Graph.Implicit.degree g v in
-    let acc = ref 0.0 in
-    Graph.Implicit.iter g v ~f:(fun w -> acc := !acc +. Array.unsafe_get x w);
-    y.(v) <- (if d > 0 then !acc /. Float.of_int d else 0.0)
+    acc.(0) <- 0.0;
+    Graph.Implicit.iter g v ~f:add;
+    y.(v) <- (if d > 0 then acc.(0) /. Float.of_int d else 0.0)
   done
 
 let walk_matrix view =

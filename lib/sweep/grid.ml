@@ -343,23 +343,22 @@ let with_graph graphs key ~build f =
    only changes how those trials execute ([Kernels.run_trials]);
    aggregation walks the outcomes in trial order either way, so the
    scalar path reproduces the historical per-trial loop draw-for-draw. *)
-let run_cell graphs ~spec ~kernel ~branching ~trials ~base ~engine ~backend ~address
-    ~master ~salt =
-  let spec_str = Graph.Spec.to_string spec in
+let run_cell graphs grid ~spec ~kernel ~branching ~address ~master ~salt =
+  let spec_str = Graph.Spec.to_string spec and trials = grid.trials in
   let build () =
     let grng = Simkit.Seeds.tagged_rng ~master ~tag:("sweep:graph:" ^ spec_str) in
-    match Graph.Spec.build_view spec ~backend grng with
+    match Graph.Spec.build_view spec ~backend:grid.backend grng with
     | Error msg -> failwith (Printf.sprintf "%s: graph build failed: %s" address msg)
     | Ok g -> g
   in
   with_graph graphs (spec_str, master) ~build (fun g ->
-    let params = { base with K.branching } in
+    let params = { grid.base with K.branching } in
     let completed = ref 0 in
     let rounds = Stats.Summary.create () in
     let obs_keys = ref [] in
     let obs : (string, Stats.Summary.t) Hashtbl.t = Hashtbl.create 8 in
     let outcomes =
-      Kernels.run_trials ~engine kernel g params ~trials ~master ~salt0:salt
+      Kernels.run_trials ~engine:grid.engine kernel g params ~trials ~master ~salt0:salt
     in
     Array.iter
       (fun o ->
@@ -413,53 +412,54 @@ let run_cell graphs ~spec ~kernel ~branching ~trials ~base ~engine ~backend ~add
         ("observations", Json.Obj obs_json);
       ])
 
+(* The grid-level parts of the metas are built once and shared (see
+   grid.mli): a daemon keeps every admitted cell alive, so a meta of
+   each cell's own would be paid once per admitted cell. *)
 let cells grid =
   let graphs = { mu = Mutex.create (); entries = Hashtbl.create 8; latest = None } in
+  let params =
+    ("params", params_meta ~engine:grid.engine ~backend:grid.backend grid.trials grid.base)
+  in
+  let branchings =
+    List.map
+      (fun b ->
+        let arg = Cobra.Branching.to_arg b in
+        (b, arg, [ ("branching", Json.String arg); params ]))
+      grid.branchings
+  in
+  let kernels = List.map (fun k -> (k, ("kernel", Json.String k.K.name))) grid.kernels in
   let cells = ref [] in
   let index = ref 0 in
   List.iter
     (fun spec ->
+      let spec_str = Graph.Spec.to_string spec in
+      let graph = ("graph", Json.String spec_str) in
       List.iter
-        (fun kernel ->
+        (fun (kernel, kernel_field) ->
           List.iter
-            (fun branching ->
+            (fun (branching, arg, tail) ->
               (* Canonical address via Cellid so reserved characters are
                  rejected rather than silently producing an ambiguous
                  address; renders as "g=<spec>;k=<kernel>;b=<branching>",
                  byte-identical to the historical sprintf. *)
               let address =
                 Simkit.Cellid.address_of_parts
-                  [
-                    ("g", Graph.Spec.to_string spec);
-                    ("k", kernel.K.name);
-                    ("b", Cobra.Branching.to_arg branching);
-                  ]
-              in
-              let meta =
-                [
-                  ("graph", Json.String (Graph.Spec.to_string spec));
-                  ("kernel", Json.String kernel.K.name);
-                  ("branching", Json.String (Cobra.Branching.to_arg branching));
-                  ( "params",
-                    params_meta ~engine:grid.engine ~backend:grid.backend
-                      grid.trials grid.base );
-                ]
+                  [ ("g", spec_str); ("k", kernel.K.name); ("b", arg) ]
               in
               let cell =
                 {
                   Simkit.Campaign.index = !index;
                   address;
-                  meta;
+                  meta = graph :: kernel_field :: tail;
                   run =
                     (fun ~master ~salt ->
-                      run_cell graphs ~spec ~kernel ~branching ~trials:grid.trials
-                        ~base:grid.base ~engine:grid.engine
-                        ~backend:grid.backend ~address ~master ~salt);
+                      run_cell graphs grid ~spec ~kernel ~branching ~address ~master
+                        ~salt);
                 }
               in
               incr index;
               cells := cell :: !cells)
-            grid.branchings)
-        grid.kernels)
+            branchings)
+        kernels)
     grid.graphs;
   List.rev !cells

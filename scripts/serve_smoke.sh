@@ -36,14 +36,17 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# The socket file exists from bind on, before the daemon listens, so a
+# submit sent as soon as it appears can be refused. Wait until the
+# daemon answers a stats request instead.
 start_daemon() {
   "$BIN" serve --socket "$SOCK" --cache "$CACHE" &
   DAEMON=$!
   i=0
-  while [ ! -S "$SOCK" ]; do
+  until "$BIN" client stats --socket "$SOCK" > /dev/null 2>&1; do
     i=$((i + 1))
     if [ "$i" -gt 100 ]; then
-      echo "serve-smoke: daemon socket never appeared" >&2
+      echo "serve-smoke: daemon never answered a stats request" >&2
       exit 1
     fi
     sleep 0.1

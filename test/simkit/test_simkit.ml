@@ -1381,6 +1381,98 @@ let test_write_atomic_failure_leaves_no_temp () =
         "no temp file left behind" [ "target" ]
         (Array.to_list (Sys.readdir dir)))
 
+(* [Json.output] streams what [to_string] renders, byte for byte, also
+   for documents many flush chunks long: a campaign grid (cells with
+   nested metas) and a manifest (flat cell entries), each of 600 cells,
+   pretty and compact, written through [Fsutil.write_with] as campaigns
+   write them. *)
+let test_json_output_matches_to_string () =
+  let meta i =
+    Json.Obj
+      [
+        ("graph", Json.String (Printf.sprintf "cycle:%d" (6 + (i mod 40))));
+        ("kernel", Json.String "push-pull");
+        ("branching", Json.String "1+0.5");
+        ( "params",
+          Json.Obj
+            [
+              ("trials", Json.Int 2);
+              ("rate", Json.Float 1.5);
+              ("persistent", Json.Bool false);
+              ("cap", Json.Null);
+            ] );
+      ]
+  in
+  let cells f = Json.List (List.init 600 f) in
+  let grid =
+    Json.Obj
+      [
+        ("schema", Json.String "cobra.campaign-grid/2");
+        ("campaign", Json.String "tiny \"0\"");
+        ( "cells",
+          cells (fun i ->
+              Json.Obj
+                [
+                  ("index", Json.Int i);
+                  ("address", Json.String (Printf.sprintf "g=cycle:%d;k=push-pull" i));
+                  ("meta", meta i);
+                ]) );
+      ]
+  in
+  let manifest =
+    Json.Obj
+      [
+        ("schema", Json.String "cobra.campaign/1");
+        ( "cells",
+          cells (fun i ->
+              Json.Obj
+                [
+                  ("index", Json.Int i);
+                  ("salt", Json.Int (-i * 7919));
+                  ("digest", Json.String (Digest.to_hex (Digest.string (string_of_int i))));
+                ]) );
+      ]
+  in
+  with_temp_dir ~prefix:"json_output" (fun dir ->
+      Simkit.Fsutil.mkdir_p dir;
+      let path = Filename.concat dir "doc.json" in
+      List.iter
+        (fun (name, doc) ->
+          List.iter
+            (fun pretty ->
+              let want = Json.to_string ~pretty doc in
+              if String.length want < 8 * 4096 then
+                Alcotest.failf "%s is only %d bytes" name (String.length want);
+              Simkit.Fsutil.write_with path (fun oc -> Json.output ~pretty oc doc) ignore;
+              check Alcotest.bool
+                (Printf.sprintf "%s, pretty %b: file bytes = to_string" name pretty)
+                true
+                (slurp path = want))
+            [ true; false ])
+        [ ("grid", grid); ("manifest", manifest) ])
+
+(* An emitter that raises part-way through leaves the old file in place
+   and no temp file beside it, like a failed rename. *)
+let test_write_with_raising_emitter () =
+  with_temp_dir ~prefix:"write_with" (fun dir ->
+      Simkit.Fsutil.mkdir_p dir;
+      let target = Filename.concat dir "target" in
+      Simkit.Fsutil.write_atomic target "old";
+      (match
+         Simkit.Fsutil.write_with target
+           (fun oc ->
+             output_string oc (String.make 100_000 'x');
+             failwith "emitter gave up")
+           ignore
+       with
+      | () -> Alcotest.fail "a raising emitter published its file"
+      | exception Failure _ -> ());
+      check
+        Alcotest.(list string)
+        "no temp file left behind" [ "target" ]
+        (Array.to_list (Sys.readdir dir));
+      check Alcotest.string "the old file stands" "old" (slurp target))
+
 (* The link is checked against the held file's identity: a path that a
    concurrent rename pointed at another file is refused, leaving nothing
    behind; a path still naming the held file is linked. *)
@@ -1640,6 +1732,8 @@ let () =
           Alcotest.test_case "of_file on unreadable paths" `Quick
             test_json_of_file_unreadable;
           qtest json_emitter_matches_reference_prop;
+          Alcotest.test_case "output streams the bytes of to_string" `Quick
+            test_json_output_matches_to_string;
         ] );
       ( "artifact",
         [
@@ -1720,6 +1814,8 @@ let () =
             test_write_atomic_failure_leaves_no_temp;
           Alcotest.test_case "link checks the held file's identity" `Quick
             test_link_atomic_checks_identity;
+          Alcotest.test_case "a raising emitter leaves the old file" `Quick
+            test_write_with_raising_emitter;
         ] );
       ( "eventlog",
         [

@@ -70,6 +70,43 @@ let test_walk_matrix_stochastic () =
   let y = Op.apply op ones in
   Array.iter (fun v -> close "P * 1 = 1" 1.0 v) y
 
+(* Minor words one matvec allocates on the implicit backend, counted
+   over 4 matvecs less the counter's own words. The accumulator and the
+   neighbour callback are made once per matvec, so the count is a small
+   constant that does not grow with the vertex count (it was 35 words
+   per vertex on Q_14 and 45 on a 128 x 128 torus). *)
+let matvec_words view =
+  let op = Op.walk_matrix view in
+  let x = Array.init op.Op.n (fun i -> Float.of_int (i mod 7)) in
+  let y = Array.make op.Op.n 0.0 in
+  let count k =
+    let before = Gc.minor_words () in
+    for _ = 1 to k do
+      op.Op.apply ~x ~y
+    done;
+    Gc.minor_words () -. before
+  in
+  (count 4 -. count 0) /. 4.0
+
+let test_implicit_matvec_allocation () =
+  let imp = Graph.View.of_implicit in
+  List.iter
+    (fun (name, small, large) ->
+      let a = matvec_words small and b = matvec_words large in
+      if a <> b || b > 16.0 then
+        Alcotest.failf "%s: %.1f and %.1f minor words per matvec at the two sizes" name a b)
+    [
+      ("hypercube d = 12, 14", imp (Graph.Implicit.hypercube 12), imp (Graph.Implicit.hypercube 14));
+      ( "folded hypercube d = 10, 12",
+        imp (Graph.Implicit.folded_hypercube 10),
+        imp (Graph.Implicit.folded_hypercube 12) );
+      ("torus 64x64, 128x128", imp (Graph.Implicit.torus [| 64; 64 |]), imp (Graph.Implicit.torus [| 128; 128 |]));
+      ("grid 20x30x4, 40x30x8", imp (Graph.Implicit.grid [| 20; 30; 4 |]), imp (Graph.Implicit.grid [| 40; 30; 8 |]));
+      ( "circulant 1025, 4097",
+        imp (Graph.Implicit.circulant 1025 [ 1; 2; 3 ]),
+        imp (Graph.Implicit.circulant 4097 [ 1; 2; 3 ]) );
+    ]
+
 (* ---------- Tridiag ---------- *)
 
 let test_tridiag_diagonal () =
@@ -433,6 +470,8 @@ let () =
       ( "op",
         [
           Alcotest.test_case "walk matrix stochastic" `Quick test_walk_matrix_stochastic;
+          Alcotest.test_case "implicit matvec: no words per vertex" `Quick
+            test_implicit_matvec_allocation;
         ] );
       ( "tridiag",
         [

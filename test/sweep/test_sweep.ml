@@ -792,6 +792,82 @@ let test_grid_engine_parse () =
         (Sweep.Kernels.engine_to_string g.Sweep.Grid.engine)
     | Error msg -> Alcotest.fail ("json grid: " ^ msg))
 
+(* ---------- cell identity ----------
+
+   [Cellid.digest] of every cell of the smoke grid (Makefile's
+   SMOKE_GRID), of its lanes/bigarray variant and of a variant off the
+   default latent period, recorded before the metas of a grid shared
+   their structure. The digest is the MD5 of the compact meta, so these
+   pin the meta bytes that existing checkpoints and cache records are
+   keyed by. *)
+
+let smoke_grid =
+  "name=smoke;graphs=cycle:12,complete:8,ba:24x2;kernels=cobra,bips,sis,seir;trials=3"
+
+let meta_digest_goldens =
+  [
+    ( smoke_grid,
+      [
+        ("g=cycle:12;k=cobra;b=k=2", "b4fcc6f2ed4220800f6770e31e161f39");
+        ("g=cycle:12;k=bips;b=k=2", "4d172b4baa7e28eb52f26a3738496e7a");
+        ("g=cycle:12;k=sis;b=k=2", "80853cbb1b06d6fe6c9c2be4377bef5c");
+        ("g=cycle:12;k=seir;b=k=2", "3178548dfce4dbdfcd3bbdf4f5ed4388");
+        ("g=complete:8;k=cobra;b=k=2", "aff979f5dafb5b4b281aba6c7fbc3794");
+        ("g=complete:8;k=bips;b=k=2", "1329921a187b7fd869f75d7ce75b245f");
+        ("g=complete:8;k=sis;b=k=2", "6406049a0fa432e6016d8f153ac78f8c");
+        ("g=complete:8;k=seir;b=k=2", "1c66fe50418b817c61d2eaf220bc2176");
+        ("g=ba:24,2;k=cobra;b=k=2", "c642d5aa5ee530069b2338ec092a4a09");
+        ("g=ba:24,2;k=bips;b=k=2", "e2386000925930417f3682d73f7e38d3");
+        ("g=ba:24,2;k=sis;b=k=2", "d02cac7acf6d7daea3eafc2f00ce0600");
+        ("g=ba:24,2;k=seir;b=k=2", "99c8b8154be03f06a960e1c6a48ff58b");
+      ] );
+    ( smoke_grid ^ ";engine=lanes;backend=bigarray",
+      [
+        ("g=cycle:12;k=cobra;b=k=2", "d88a182735417202cdf754d3dee0faa3");
+        ("g=cycle:12;k=bips;b=k=2", "43c59e6648a9672588153ffd04c462fb");
+        ("g=cycle:12;k=sis;b=k=2", "a19947fbc3fb63918af39cc02ce6d762");
+        ("g=cycle:12;k=seir;b=k=2", "01f353b4e35c912069a9726b28faa740");
+        ("g=complete:8;k=cobra;b=k=2", "774b8cb0957294d012f6c4704856ea26");
+        ("g=complete:8;k=bips;b=k=2", "34efbac4388d193dc4315d9af218a330");
+        ("g=complete:8;k=sis;b=k=2", "9dd2e7e063fbeb5c30304727201db2f3");
+        ("g=complete:8;k=seir;b=k=2", "d49a85e05eb2441e833d3b61b426ff9d");
+        ("g=ba:24,2;k=cobra;b=k=2", "8a789a175b859b51fcb387d565d6412e");
+        ("g=ba:24,2;k=bips;b=k=2", "9271a30ff8c25900855aa95adc530d43");
+        ("g=ba:24,2;k=sis;b=k=2", "2f18733e5526f980093916dc6a4910b1");
+        ("g=ba:24,2;k=seir;b=k=2", "b021bbbe668b5923c2d18c4fdc40ad9a");
+      ] );
+    ( smoke_grid ^ ";latent_rounds=2",
+      [
+        ("g=cycle:12;k=cobra;b=k=2", "859ac900f902558b501e526cb323e487");
+        ("g=cycle:12;k=bips;b=k=2", "d4fa03344891b401220eb0996c4e227f");
+        ("g=cycle:12;k=sis;b=k=2", "d94316f72e238a87946a2dae31f8ecaa");
+        ("g=cycle:12;k=seir;b=k=2", "26e51e26b6ae26032f080556d8bbccb4");
+        ("g=complete:8;k=cobra;b=k=2", "a40b3e379f3af4a489a84af4bb3c46a5");
+        ("g=complete:8;k=bips;b=k=2", "a140fe5873f8fbdd9baee2719ae65504");
+        ("g=complete:8;k=sis;b=k=2", "9cdc7515210fa78605f0829e480057be");
+        ("g=complete:8;k=seir;b=k=2", "fc49518594aca6a6166e90e96db221b5");
+        ("g=ba:24,2;k=cobra;b=k=2", "3a0aafa645bbd48bea504809c0dc7aeb");
+        ("g=ba:24,2;k=bips;b=k=2", "ac4e54c5761f0a666823e7c36fa43907");
+        ("g=ba:24,2;k=sis;b=k=2", "22c0bf210a65b603051c79fd7542a744");
+        ("g=ba:24,2;k=seir;b=k=2", "b4a496c895a2b572b448197a3d0afcb8");
+      ] );
+  ]
+
+let test_meta_digests_pinned () =
+  List.iter
+    (fun (inline, want) ->
+      match Sweep.Grid.of_inline inline with
+      | Error msg -> Alcotest.fail msg
+      | Ok grid ->
+        check
+          Alcotest.(list (pair string string))
+          inline want
+          (List.map
+             (fun (c : Simkit.Campaign.cell) ->
+               (c.address, Simkit.Cellid.digest (Simkit.Campaign.cellid c)))
+             (Sweep.Grid.cells grid)))
+    meta_digest_goldens
+
 (* ---------- campaign resume equivalence (end to end) ---------- *)
 
 let read_file path =
@@ -1409,9 +1485,16 @@ let test_lane_goldens () =
    two sizes, less the same count over zero rounds (the counter's own
    boxed floats). A sliced stepper may allocate a few words per round,
    but nothing per vertex: at most [sliced_limit] words per round at
-   either size. The scalar steps below allocate nothing at all. *)
+   either size. Scalar bips, sis, rwalk and herd allocate nothing at
+   all. The other scalar kernels grow their round vectors as the
+   informed set grows, and so allocate a bounded amount per round: at
+   most [scalar_limit] at either size, where a closure or a boxed float
+   per vertex would cost thousands. (Growth steps above 256 words go
+   straight to the major heap, once per run, and are not counted.) *)
 
 let sliced_limit = 16.0
+
+let scalar_limit = 64.0
 
 let alloc_graph n = Gen.random_regular (Rng.create n) ~n ~r:4
 
@@ -1457,7 +1540,9 @@ let test_sliced_steps_allocation () =
         (Cobra.Lanes.all @ Epidemic.Lanes.all))
     [ 1024; 16384 ]
 
-let test_scalar_steps_allocation () =
+(* Each kernel's scalar steps at each of its sizes allocate at most
+   [limit] minor words per round. *)
+let check_scalar_words ~limit cases =
   List.iter
     (fun (kernel, params, sizes) ->
       List.iter
@@ -1469,10 +1554,15 @@ let test_scalar_steps_allocation () =
             words_per_round ~max_rounds:200 ~finished:inst.K.is_complete (fun () ->
                 inst.K.step rng)
           in
-          if per_round > 0.0 then
-            Alcotest.failf "scalar %s at n = %d: %.1f minor words per round over %d rounds"
-              kernel.K.name n per_round played)
+          if per_round > limit then
+            Alcotest.failf
+              "scalar %s at n = %d: %.1f minor words per round over %d rounds (limit %.0f)"
+              kernel.K.name n per_round played limit)
         sizes)
+    cases
+
+let test_scalar_steps_allocation () =
+  check_scalar_words ~limit:0.0
     [
       (K.bips, p0, [ 1024; 16384 ]);
       (Epidemic.Kernels.sis, { p0 with K.recovery = 0.25; persistent = true }, [ 1024; 16384 ]);
@@ -1483,6 +1573,117 @@ let test_scalar_steps_allocation () =
         { p0 with K.persistent = true; infectious_rounds = 2; immune_rounds = 4 },
         [ 1024; 4096 ] );
     ]
+
+let test_scalar_steps_bounded_allocation () =
+  check_scalar_words ~limit:scalar_limit
+    (List.map
+       (fun kernel -> (kernel, p0, [ 4096; 16384 ]))
+       [ K.cobra; K.push; K.pull; K.push_pull; Epidemic.Kernels.seir; K.explore ])
+
+(* ---------- campaign memory ----------
+
+   Counted, not timed, on a grid shaped like the serve-tiny benchmark's
+   job tiny-0: 43 small graphs x 12 kernels x 4 branchings = 2,064
+   cells. [Obj.reachable_words] of one [Grid.cells] list is the memory
+   its cells keep alive. A cell owns its record, address, run closure
+   and the two cons cells that put its graph and kernel fields in front
+   of its branching's shared meta tail, about 30 words in all; with a
+   meta of its own it held 139. [Campaign.plan] (on a fresh directory,
+   so it writes grid.json) and [Campaign.finalize] (which writes
+   manifest.json) are counted in words allocated directly in the major
+   heap, [Gc.counters]' major words less its promoted ones: a campaign
+   document built as one string lands there at 110-260 words per cell.
+   Streamed, what is left is plan's digest table and hash tables (6.3
+   words per cell) and finalize's 4 KiB buffer (0.7). *)
+
+let tiny_grid =
+  let family f = List.init 8 f in
+  let graphs =
+    [ "hypercube:4"; "hypercube:5"; "petersen" ]
+    @ family (fun u -> Printf.sprintf "cycle:%d" (6 + u))
+    @ family (fun u -> Printf.sprintf "complete:%d" (4 + u))
+    @ family (fun u -> Printf.sprintf "torus:3x%d" (3 + u))
+    @ family (fun u -> Printf.sprintf "ba:%dx2" (12 + (2 * u)))
+    @ family (fun u -> Printf.sprintf "random-regular:%dx3" (10 + (2 * u)))
+  in
+  Printf.sprintf
+    "name=tiny-0;graphs=%s;kernels=%s;branching=k=2,k=3,1+0.5,distinct=2;trials=2"
+    (String.concat "," graphs)
+    (String.concat "," (Sweep.Kernels.names ()))
+
+let tiny_cells () =
+  match Sweep.Grid.of_inline tiny_grid with
+  | Error msg -> Alcotest.fail msg
+  | Ok grid ->
+    let cells = Sweep.Grid.cells grid in
+    check Alcotest.int "tiny-0 cells" 2064 (List.length cells);
+    cells
+
+let live_words_limit = 48.0
+
+let direct_major_limit = 32.0
+
+let direct_major_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let _, promoted1, major1 = Gc.counters () in
+  (r, major1 -. major0 -. (promoted1 -. promoted0))
+
+let test_cells_live_words () =
+  let cells = tiny_cells () in
+  let per_cell =
+    Float.of_int (Obj.reachable_words (Obj.repr cells)) /. Float.of_int (List.length cells)
+  in
+  if per_cell > live_words_limit then
+    Alcotest.failf "Grid.cells keeps %.1f words per cell alive (limit %.0f)" per_cell
+      live_words_limit
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+(* [f] on a fresh directory and the tiny-0 cells, with payloads that do
+   not matter here. *)
+let with_tiny_campaign f =
+  let cells =
+    List.map
+      (fun (c : Simkit.Campaign.cell) -> { c with run = (fun ~master:_ ~salt:_ -> Json.Null) })
+      (tiny_cells ())
+  in
+  let dir = fresh_dir () in
+  let config =
+    { Simkit.Campaign.dir; master = 9; resume = false; max_cells = None;
+      domains = Some 1; cache = None; progress = ignore }
+  in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f config cells)
+
+let check_direct_words what cells words =
+  let per_cell = words /. Float.of_int (List.length cells) in
+  if per_cell > direct_major_limit then
+    Alcotest.failf "%s allocates %.1f words per cell directly in the major heap (limit %.0f)"
+      what per_cell direct_major_limit
+
+let test_plan_direct_words () =
+  with_tiny_campaign (fun config cells ->
+      let plan, words =
+        direct_major_words (fun () -> Simkit.Campaign.plan config ~name:"tiny-0" ~cells)
+      in
+      if Result.is_error plan then Alcotest.fail "plan refused";
+      check_direct_words "Campaign.plan" cells words)
+
+let test_finalize_direct_words () =
+  with_tiny_campaign (fun config cells ->
+      match Simkit.Campaign.plan config ~name:"tiny-0" ~cells with
+      | Error msg -> Alcotest.fail msg
+      | Ok plan ->
+        List.iter (fun c -> ignore (Simkit.Campaign.execute_cell plan c)) cells;
+        let manifest, words = direct_major_words (fun () -> Simkit.Campaign.finalize plan) in
+        if manifest = None then Alcotest.fail "no manifest";
+        check_direct_words "Campaign.finalize" cells words)
 
 let () =
   Alcotest.run "sweep"
@@ -1530,6 +1731,7 @@ let () =
             test_cell_payload_deterministic;
           Alcotest.test_case "graph build failures stay per cell" `Quick
             test_graph_build_failure_per_cell;
+          Alcotest.test_case "cell meta digests pinned" `Quick test_meta_digests_pinned;
         ] );
       ( "campaign",
         [
@@ -1583,5 +1785,15 @@ let () =
             test_sliced_steps_allocation;
           Alcotest.test_case "scalar bips, sis, rwalk, herd: no words" `Quick
             test_scalar_steps_allocation;
+          Alcotest.test_case "scalar cobra, push, pull, push-pull, seir, explore: bounded" `Quick
+            test_scalar_steps_bounded_allocation;
+        ] );
+      ( "memory",
+        [
+          Alcotest.test_case "grid cells: live words per cell" `Quick test_cells_live_words;
+          Alcotest.test_case "plan: direct major words per cell" `Quick
+            test_plan_direct_words;
+          Alcotest.test_case "finalize: direct major words per cell" `Quick
+            test_finalize_direct_words;
         ] );
     ]
