@@ -193,8 +193,9 @@ let event_to_string = function
 (* ---------- filesystem layout ----------
 
    Every record is written with [Fsutil.write_with] or linked with
-   [Fsutil.link_atomic]: a kill leaves either no record or a complete
-   one, never a half-written record masquerading as a checkpoint. *)
+   [Fsutil.link_atomic]: a kill leaves either no record, the old one or
+   a complete new one, never a half-written record masquerading as a
+   checkpoint. *)
 
 let cell_file_name index = Printf.sprintf "cell_%05d.json" index
 

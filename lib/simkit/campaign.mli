@@ -183,19 +183,22 @@ type plan = {
 (** [plan config ~name ~cells] validates the cell list, initialises the
     campaign directory and classifies every cell. It lists [cells/]
     once and validates every entry named like a checkpoint, so an entry
-    that cannot be read as one (a directory, a dangling symlink) is
-    reported corrupt, not taken for a missing cell. Pure of side
-    effects beyond directory/grid creation: nothing is executed and no
-    events are emitted. *)
+    that cannot be read as one is reported corrupt, not taken for a
+    missing cell: a directory, a dangling symlink, a FIFO (which is not
+    waited on) or anything else that is not a regular file, and any
+    file that does not validate. Pure of side effects beyond
+    directory/grid creation: nothing is executed and no events are
+    emitted. *)
 val plan : config -> name:string -> cells:cell list -> (plan, string) result
 
 (** [execute_cell plan cell] produces the cell's record: from the result
     cache when [config.cache] hits ([`Cached] — [cell.run] is not
     invoked), else by running the cell and populating the cache
     ([`Ran]). Writes [cells/cell_NNNNN.json] atomically either way: with
-    a cache, by hard-linking the cache record when its bytes are the
-    rendered checkpoint ({!Fsutil.link_atomic}), else as a new file.
-    Records the digest of the bytes it placed in [plan.p_digests].
+    a cache, by hard-linking the cache record onto that name when its
+    bytes are the rendered checkpoint ({!Fsutil.link_atomic}: one
+    [link(2)], replacing a corrupt checkpoint there), else as a new
+    file. Records the digest of the bytes it placed in [plan.p_digests].
     Safe to call from any domain, on distinct cells; callers own
     scheduling and event emission, and must order every call before
     {!finalize} (a lock or a join does). *)

@@ -36,17 +36,21 @@
     exactly the bytes the campaign writes to [cells/], the campaign
     hard-links it into its directory ({!Fsutil.link_atomic}) instead of
     creating a new file, on a hit ({!lookup}) and after the put of a
-    miss ({!put_record}). The checkpoint and its record then share one
-    inode. No writer modifies a file in place (every write is a temp
-    file renamed over the path), so neither side can change the other;
-    an external in-place edit shows up on both sides and is caught by
-    validation on both (the cache misses, a resume re-runs the cell as
-    corrupt), never as a wrong hit. The campaign writes a fresh
-    checkpoint instead when the link fails (the cache on another
-    filesystem, [fs.protected_hardlinks], the link limit) or when the
-    record's bytes are not its own rendering: a [cobra.cellstore/1]
-    record, a record from a campaign with another name or index, or a
-    record another campaign's concurrent put replaced.
+    miss ({!put_record}): one [link(2)] straight onto the checkpoint's
+    name, which replaces an old checkpoint there (a corrupt one, or a
+    link to this record). A kill leaves the name absent, with its old
+    file, or linked to a complete record. The checkpoint and its record
+    then share one inode. No writer modifies a file in place (every
+    write is a temp file renamed over the path), so neither side can
+    change the other; an external in-place edit shows up on both sides
+    and is caught by validation on both (the cache misses, a resume
+    re-runs the cell as corrupt), never as a wrong hit. The campaign
+    writes a fresh checkpoint instead when the link fails (the cache on
+    another filesystem, [fs.protected_hardlinks], the link limit) or
+    when the record's bytes are not its own rendering: a
+    [cobra.cellstore/1] record, a record from a campaign with another
+    name or index, or a record another campaign's concurrent put
+    replaced.
 
     One read per hit: {!lookup} reads the record once and keeps it open
     while the campaign links it. A record that is this campaign's
@@ -85,8 +89,9 @@ val key : master:int -> Cellid.t -> string
 val path : t -> master:int -> Cellid.t -> string
 
 (** [find store ~master id] is the validated payload of a record of
-    either schema, or [None] on a miss (absent, unreadable, or failing
-    any identity/digest check). Updates the hit/miss counters. *)
+    either schema, or [None] on a miss (absent, unreadable, not a
+    regular file, or failing any identity/digest check). Updates the
+    hit/miss counters. *)
 val find : t -> master:int -> Cellid.t -> Json.t option
 
 (** [put store ~master id payload] writes a {!schema} record for the
@@ -104,8 +109,10 @@ type 'a lookup =
           checkpoint of a campaign with another name or index: its
           payload *)
   | Miss
-      (** absent, unreadable or invalid, or the campaign's own
-          checkpoint with bytes other than its rendering *)
+      (** absent, unreadable (a FIFO or anything else that is not a
+          regular file, read without blocking) or invalid, or the
+          campaign's own checkpoint with bytes other than its
+          rendering *)
 
 (** [lookup store ~master id ~campaign ~index ~render own] reads the
     entry's record once, for the cell [index] of the campaign named
@@ -128,9 +135,9 @@ val lookup :
     the entry's record, atomically, overwriting any previous record for
     the key, then runs [f] on the new record, held open. {!Campaign}
     passes the rendered checkpoint of the cell (schema
-    {!checkpoint_schema}) and links the record into its directory in
-    [f]. Bytes that do not validate as either schema only make later
-    lookups miss. *)
+    {!checkpoint_schema}) and links the record onto the checkpoint's
+    name in [f] ({!Fsutil.link_atomic}). Bytes that do not validate as
+    either schema only make later lookups miss. *)
 val put_record : t -> master:int -> Cellid.t -> string -> (Fsutil.held -> 'a) -> 'a
 
 type stats = {

@@ -2,16 +2,21 @@
     result cache ({!Cellstore}), the event log ({!Eventlog}) and the
     campaign daemon.
 
-    The one writer ({!write_with}, and its string forms) and the linker
-    ({!link_atomic}) build the new file under a temp name beside the
-    target and rename it over the target; neither ever modifies an
-    existing file in place. The temp name is unique to the writer
-    (process id plus a process-wide counter), so two writers putting the
-    same path at once never share a half-written file, and the last
-    rename wins with a complete file. When a write fails, the temp file
-    is removed before the exception propagates: a failed write leaves
-    nothing behind. No fsync: a file survives a process kill, not a
-    power loss. *)
+    No file is ever modified in place. The one writer ({!write_with},
+    and its string forms) builds the new file under a temp name beside
+    the target and renames it over the target. The temp name is unique
+    to the writer (process id plus a process-wide counter), so two
+    writers putting the same path at once never share a half-written
+    file, and the last rename wins with a complete file. When a write
+    fails, the temp file is removed before the exception propagates: a
+    failed write leaves nothing behind. The linker ({!link_atomic})
+    makes one [link(2)] straight onto the target name, whose inode
+    already holds a complete file.
+
+    What a kill leaves at a name: its old file, nothing (between the
+    linker's removal of an old name and its link), or a complete new
+    file; never a torn one. No fsync: a file survives a process kill,
+    not a power loss. *)
 
 (** [mkdir_p path] creates [path] and any missing parents. A directory
     that appears concurrently (another writer won the race) is not an
@@ -44,24 +49,34 @@ val write_held : string -> string -> (held -> 'a) -> 'a
 (** [write_atomic path content] is [write_held path content ignore]. *)
 val write_atomic : string -> string -> unit
 
-(** [read path f] opens [path], reads all of it, and runs [f] on its
-    bytes and the file, held open until [f] returns. Total in the read:
-    a path that cannot be opened or read (absent, a directory, no
-    permission, truncated while read) is an [Error] carrying the system
-    message; exceptions from [f] propagate. *)
+(** [read path f] opens [path], takes its size and identity from one
+    [fstat], reads exactly that many bytes, and runs [f] on them and the
+    file, held open until [f] returns. Only a regular file is read: the
+    open does not block (a FIFO with no writer is opened at once), and
+    anything else is refused. Total in the read: a path that cannot be
+    opened or read (absent, a directory, a FIFO or any other file that
+    is not regular, no permission, truncated while read) is an [Error]
+    naming the path and the reason; exceptions from [f] propagate. *)
 val read : string -> (string -> held -> 'a) -> ('a, string) result
 
 (** [link_atomic src path] makes [path] a hard link to the held file
-    [src]: it links [src]'s path to a temp name beside [path], checks
-    that the link has [src]'s identity, and renames it over [path].
-    Returns [true] when [path] now shares [src]'s inode.
+    [src] with one [link(2)] of [src]'s path onto [path]. When a name
+    already exists at [path] (a corrupt checkpoint, a dangling symlink,
+    or a link to [src] itself), it is removed and the link made once
+    more. Then [path] is [lstat]ed: returns [true] when it shares
+    [src]'s identity.
 
-    Returns [false], leaving [path] untouched and no temp file behind,
-    when the link fails ([src]'s path absent, [EXDEV] across
-    filesystems, [EPERM] under [fs.protected_hardlinks], [EMLINK]) or
-    when [src]'s path names another file by then (a concurrent rename
-    replaced it), so the caller can fall back to {!write_atomic}. The
-    identity check needs no read: [src] is held, so its identity is not
-    reused, and its bytes are the ones the caller read or wrote. Raises
-    (after removing the temp file) only if the rename fails. *)
+    Returns [false] when the link fails ([src]'s path absent, [EXDEV]
+    across filesystems, [EPERM] under [fs.protected_hardlinks],
+    [EMLINK], or a name again in the way), leaving [path] as it was or
+    absent; and when [src]'s path names another file by then (a
+    concurrent rename replaced it), after removing that link, so [path]
+    is absent. Either way the caller can fall back to {!write_atomic}.
+    The identity check needs no read: [src] is held, so its identity is
+    not reused, and its bytes are the ones the caller read or wrote.
+    Raises [Sys_error] only if an old name cannot be removed (a
+    directory at [path]).
+
+    A kill leaves [path] with its old file, absent (a pending cell to a
+    campaign's resume), or a link to a complete record. *)
 val link_atomic : held -> string -> bool

@@ -13,7 +13,10 @@
 #      to the batch reference, with every cell checkpoint a hard link to
 #      its cache record (no file created per hit), and its manifest
 #      digests checked against the files as in step 3;
-#   5. graceful shutdown.
+#   5. require that no temp name (*.tmp.*) is left in either daemon
+#      campaign directory or in the cache, apart from a write the
+#      SIGKILL of step 2 cut short (its name carries that daemon's pid);
+#   6. graceful shutdown.
 #
 # Honors COBRA_DOMAINS like every other drill (the daemon pool defaults
 # to it), so CI runs this at pool widths 1 and 2.
@@ -72,6 +75,7 @@ while :; do
 done
 kill -9 "$DAEMON"
 wait "$DAEMON" 2>/dev/null || true
+KILLED=$DAEMON
 DAEMON=
 rm -f "$SOCK"
 
@@ -105,9 +109,20 @@ if [ -n "$unlinked" ]; then
 fi
 sh scripts/check_manifest_digests.sh _results/serve-c
 
-# 5. Graceful shutdown.
+# 5. Every write and link of the restarted daemon has published its
+# file under its own name. A temp file is named PATH.tmp.PID.N, so one
+# the killed daemon was still writing is told apart by its pid.
+leftover=$(find _results/serve-b _results/serve-c "$CACHE" -name '*.tmp.*' \
+  ! -name "*.tmp.$KILLED.*")
+if [ -n "$leftover" ]; then
+  echo "serve-smoke: temp names left behind:" >&2
+  echo "$leftover" >&2
+  exit 1
+fi
+
+# 6. Graceful shutdown.
 "$BIN" client shutdown --socket "$SOCK"
 wait "$DAEMON"
 DAEMON=
 
-echo "serve-smoke: kill -9 resumed byte-identical; resubmission 100% cached, every checkpoint linked"
+echo "serve-smoke: kill -9 resumed byte-identical; resubmission 100% cached, every checkpoint linked, no temp name left"

@@ -17,12 +17,40 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+(* The directories [fresh_dir] made for the running test, which
+   [cleaning] removes when the test ends. *)
+let made_dirs = ref []
+
 let fresh_dir =
   let counter = ref 0 in
   fun () ->
     incr counter;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "serve_test_%d_%d" (Unix.getpid ()) !counter)
+    let dir =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "serve_test_%d_%d" (Unix.getpid ()) !counter)
+    in
+    made_dirs := dir :: !made_dirs;
+    dir
+
+(* Every test of [groups], followed by the removal of the directories
+   it made, whether it passed or failed. *)
+let cleaning groups =
+  let remove_made () =
+    List.iter rm_rf !made_dirs;
+    made_dirs := []
+  in
+  let clean (name, speed, f) =
+    (name, speed, fun x -> Fun.protect ~finally:remove_made (fun () -> f x))
+  in
+  List.map (fun (group, cases) -> (group, List.map clean cases)) groups
 
 (* ---------- protocol ---------- *)
 
@@ -687,6 +715,7 @@ let test_malformed_number_is_a_bad_request () =
 
 let () =
   Alcotest.run "serve"
+  @@ cleaning
     [
       ( "protocol",
         [

@@ -642,13 +642,15 @@ let test_artifact_json_doc () =
 
 (* ---------- Sink ---------- *)
 
+(* [lstat], not [Sys.file_exists]: the tests leave dangling symlinks and
+   FIFOs behind, which must go too. *)
 let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
+  match (Unix.lstat path).Unix.st_kind with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | Unix.S_DIR ->
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  | _ -> Sys.remove path
 
 let with_dir dir f =
   rm_rf dir;
@@ -732,12 +734,32 @@ let synth_cells ?(executions = ref 0) n =
               ]);
       })
 
+(* The directories [campaign_dir] made for the running test, which
+   [cleaning] removes when the test ends. *)
+let made_dirs = ref []
+
 let campaign_dir =
   let counter = ref 0 in
   fun () ->
     incr counter;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "campaign_test_%d_%d" (Unix.getpid ()) !counter)
+    let dir =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "campaign_test_%d_%d" (Unix.getpid ()) !counter)
+    in
+    made_dirs := dir :: !made_dirs;
+    dir
+
+(* Every test of [groups], followed by the removal of the campaign
+   directories it made, whether it passed or failed. *)
+let cleaning groups =
+  let remove_made () =
+    List.iter rm_rf !made_dirs;
+    made_dirs := []
+  in
+  let clean (name, speed, f) =
+    (name, speed, fun x -> Fun.protect ~finally:remove_made (fun () -> f x))
+  in
+  List.map (fun (group, cases) -> (group, List.map clean cases)) groups
 
 let campaign_config ?(resume = false) ?max_cells ?cache ?(progress = ignore) dir =
   { Simkit.Campaign.dir; master = 11; resume; max_cells; domains = Some 1; cache;
@@ -1336,8 +1358,8 @@ let test_campaign_concurrent_puts_from_two_campaigns () =
       List.iter2 (fun reference dir -> check_same_bytes ~reference dir cells) references dirs)
 
 (* Executing a cell whose checkpoint already is a link to the record
-   renames one link of the inode over another, which POSIX makes a
-   no-op: the temp link must still go. *)
+   links it once more: the old name is replaced, and cells/ holds the
+   checkpoint alone. *)
 let test_campaign_relinking_leaves_no_temp () =
   with_temp_dir ~prefix:"cellcache_relink" (fun cache_dir ->
       let store = Simkit.Cellstore.open_ ~dir:cache_dir in
@@ -1359,14 +1381,27 @@ let test_campaign_relinking_leaves_no_temp () =
 
 (* ---------- unreadable paths and failed writes ---------- *)
 
+(* [f ()] under a 10 s alarm that kills the test program: a read that
+   blocks (opening a FIFO no one writes to) fails the run instead of
+   hanging it. *)
+let within_alarm f =
+  Sys.set_signal Sys.sigalrm Sys.Signal_default;
+  ignore (Unix.alarm 10);
+  Fun.protect ~finally:(fun () -> ignore (Unix.alarm 0)) f
+
 let test_json_of_file_unreadable () =
   with_temp_dir ~prefix:"json_unreadable" (fun dir ->
       Simkit.Fsutil.mkdir_p dir;
       (match Json.of_file dir with
       | Ok _ -> Alcotest.fail "a directory parsed as JSON"
       | Error _ -> ());
-      match Json.of_file (Filename.concat dir "absent.json") with
+      (match Json.of_file (Filename.concat dir "absent.json") with
       | Ok _ -> Alcotest.fail "a missing path parsed as JSON"
+      | Error _ -> ());
+      let fifo = Filename.concat dir "fifo.json" in
+      Unix.mkfifo fifo 0o644;
+      match within_alarm (fun () -> Json.of_file fifo) with
+      | Ok _ -> Alcotest.fail "a FIFO parsed as JSON"
       | Error _ -> ())
 
 let test_write_atomic_failure_leaves_no_temp () =
@@ -1505,6 +1540,53 @@ let test_link_atomic_checks_identity () =
       linked other;
       check Alcotest.string "the link holds the bytes" "bytes" (slurp other))
 
+(* The link contract: whatever the name held (nothing, a file, a
+   dangling symlink, a link to this very record), it ends as the one
+   entry beside it, with the held record's identity. A record replaced
+   since it was held is refused, and the name is left empty even where
+   an old file stood. A non-empty directory at the name raises. *)
+let test_link_atomic_onto_any_name () =
+  with_temp_dir ~prefix:"link_onto" (fun dir ->
+      let records = Filename.concat dir "records" and cells = Filename.concat dir "cells" in
+      Simkit.Fsutil.mkdir_p records;
+      Simkit.Fsutil.mkdir_p cells;
+      let record = Filename.concat records "record" and name = Filename.concat cells "name" in
+      let entries () = Array.to_list (Sys.readdir cells) in
+      List.iter
+        (fun (what, old) ->
+          Simkit.Fsutil.write_held record what (fun held ->
+              old ();
+              check Alcotest.bool (what ^ ": linked") true (Simkit.Fsutil.link_atomic held name));
+          check Alcotest.(list string) (what ^ ": one entry") [ "name" ] (entries ());
+          let st = Unix.lstat name and rt = Unix.stat record in
+          check
+            Alcotest.(pair int int)
+            (what ^ ": the record's (st_dev, st_ino)")
+            (rt.Unix.st_dev, rt.Unix.st_ino) (st.Unix.st_dev, st.Unix.st_ino);
+          check Alcotest.string (what ^ ": the record's bytes") what (slurp name);
+          Sys.remove name)
+        [
+          ("an absent name", ignore);
+          ("a regular file", fun () -> spew name "old");
+          ("a dangling symlink", fun () -> Unix.symlink (Filename.concat dir "absent") name);
+          ("a link to the same record", fun () -> Unix.link record name);
+        ];
+      spew name "old";
+      Simkit.Fsutil.write_held record "held" (fun held ->
+          Simkit.Fsutil.write_atomic record "replaced";
+          check Alcotest.bool "a replaced record is refused" false
+            (Simkit.Fsutil.link_atomic held name));
+      check Alcotest.(list string) "nothing left at the name" [] (entries ());
+      Simkit.Fsutil.mkdir_p (Filename.concat name "inner");
+      Simkit.Fsutil.write_held record "bytes" (fun held ->
+          match Simkit.Fsutil.link_atomic held name with
+          | _ -> Alcotest.fail "linking onto a non-empty directory succeeded"
+          | exception Sys_error _ -> ());
+      check Alcotest.(list string) "the directory stands" [ "inner" ]
+        (Array.to_list (Sys.readdir name)))
+
+(* A directory or a FIFO at a record path is a miss, through [find] and
+   through the campaign's [lookup]; the FIFO must not block either. *)
 let test_cellstore_unreadable_record_is_a_miss () =
   with_temp_dir ~prefix:"cellstore_unreadable" (fun dir ->
       let store = Simkit.Cellstore.open_ ~dir in
@@ -1513,25 +1595,44 @@ let test_cellstore_unreadable_record_is_a_miss () =
       check Alcotest.bool "a directory at the record path is a miss" true
         (Simkit.Cellstore.find store ~master:3 id = None);
       check Alcotest.int "counted as a miss" 1
+        (Simkit.Cellstore.stats store).Simkit.Cellstore.misses;
+      let fifo_id = Simkit.Cellid.make ~address:"cell=1" ~meta:[] in
+      let fifo = Simkit.Cellstore.path store ~master:3 fifo_id in
+      Simkit.Fsutil.mkdir_p (Filename.dirname fifo);
+      Unix.mkfifo fifo 0o644;
+      within_alarm (fun () ->
+          check Alcotest.bool "a FIFO at the record path is a miss" true
+            (Simkit.Cellstore.find store ~master:3 fifo_id = None);
+          check Alcotest.bool "a FIFO is a miss for the campaign too" true
+            (Simkit.Cellstore.lookup store ~master:3 fifo_id ~campaign:"synth" ~index:1
+               ~render:(fun _ -> "") (fun _ _ -> ())
+            = Simkit.Cellstore.Miss));
+      check Alcotest.int "each counted as a miss" 3
         (Simkit.Cellstore.stats store).Simkit.Cellstore.misses)
 
-(* A directory, a dangling symlink and a number the parser cannot read
-   at checkpoint paths are all reported corrupt. *)
+(* A directory, a dangling symlink, a number the parser cannot read and
+   a FIFO at checkpoint paths are all reported corrupt; the FIFO does
+   not block the plan. *)
 let test_campaign_plan_unreadable_checkpoint_is_corrupt () =
   let dir = campaign_dir () in
-  let cells = synth_cells 5 in
+  let cells = synth_cells 6 in
   ignore (run_ok (campaign_config dir) cells);
   Sys.remove (cell_path dir 1);
   Sys.mkdir (cell_path dir 1) 0o755;
   Sys.remove (cell_path dir 2);
   Unix.symlink (Filename.concat dir "absent.json") (cell_path dir 2);
   spew (cell_path dir 3) (replace_once (slurp (cell_path dir 3)) "\"index\": 3" "\"index\": 1-2");
-  match Simkit.Campaign.plan (campaign_config ~resume:true dir) ~name:"synth" ~cells with
+  Sys.remove (cell_path dir 4);
+  Unix.mkfifo (cell_path dir 4) 0o644;
+  match
+    within_alarm (fun () ->
+        Simkit.Campaign.plan (campaign_config ~resume:true dir) ~name:"synth" ~cells)
+  with
   | Error msg -> Alcotest.fail msg
   | Ok p ->
     check
       Alcotest.(list int)
-      "the unreadable checkpoints are corrupt" [ 1; 2; 3 ]
+      "the unreadable checkpoints are corrupt" [ 1; 2; 3; 4 ]
       (List.map (fun ((c : Simkit.Campaign.cell), _, _) -> c.index) p.Simkit.Campaign.p_corrupt);
     check Alcotest.int "the others are reused" 2 p.Simkit.Campaign.p_reused
 
@@ -1672,6 +1773,7 @@ let test_eventlog_tail_while_writing () =
 
 let () =
   Alcotest.run "simkit"
+  @@ cleaning
     [
       ( "scale",
         [
@@ -1816,6 +1918,8 @@ let () =
             test_link_atomic_checks_identity;
           Alcotest.test_case "a raising emitter leaves the old file" `Quick
             test_write_with_raising_emitter;
+          Alcotest.test_case "link replaces any name with the record" `Quick
+            test_link_atomic_onto_any_name;
         ] );
       ( "eventlog",
         [

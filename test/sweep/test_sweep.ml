@@ -876,6 +876,18 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+(* The directories [fresh_dir] made for the running test, which
+   [cleaning] removes when the test ends. *)
+let made_dirs = ref []
+
 let fresh_dir =
   let counter = ref 0 in
   fun () ->
@@ -884,7 +896,20 @@ let fresh_dir =
       Filename.concat (Filename.get_temp_dir_name ())
         (Printf.sprintf "sweep_test_%d_%d" (Unix.getpid ()) !counter)
     in
+    made_dirs := dir :: !made_dirs;
     dir
+
+(* Every test of [groups], followed by the removal of the directories
+   it made, whether it passed or failed. *)
+let cleaning groups =
+  let remove_made () =
+    List.iter rm_rf !made_dirs;
+    made_dirs := []
+  in
+  let clean (name, speed, f) =
+    (name, speed, fun x -> Fun.protect ~finally:remove_made (fun () -> f x))
+  in
+  List.map (fun (group, cases) -> (group, List.map clean cases)) groups
 
 let run_campaign ~dir ~domains ~resume ?max_cells ?cache cells =
   Simkit.Campaign.run
@@ -1077,6 +1102,45 @@ let test_cache_second_campaign_all_hits () =
     check Alcotest.int "no false hits across trial counts" 0
       r.Simkit.Campaign.cached
   | Error msg -> Alcotest.fail msg
+
+(* No file is created per cached cell: after a cold and then a cached
+   campaign over one cache, every checkpoint of the cached directory is
+   a link to its record, with the record's (st_dev, st_ino), and cells/
+   holds exactly the checkpoint names. *)
+let test_cached_checkpoints_are_record_links () =
+  let cells =
+    match
+      Sweep.Grid.of_inline "name=links;graphs=cycle:12,complete:8;kernels=cobra,bips,sis;trials=3"
+    with
+    | Ok grid -> Sweep.Grid.cells grid
+    | Error msg -> Alcotest.fail msg
+  in
+  let n = List.length cells in
+  let store = Simkit.Cellstore.open_ ~dir:(fresh_dir ()) in
+  let cold = fresh_dir () and cached = fresh_dir () in
+  (match run_campaign ~dir:cold ~domains:1 ~resume:false ~cache:store cells with
+  | Ok r -> check Alcotest.int "the cold campaign runs every cell" n r.Simkit.Campaign.ran
+  | Error msg -> Alcotest.fail msg);
+  (match run_campaign ~dir:cached ~domains:2 ~resume:false ~cache:store cells with
+  | Ok r -> check Alcotest.int "the cached campaign is all hits" n r.Simkit.Campaign.cached
+  | Error msg -> Alcotest.fail msg);
+  let names = List.map (fun c -> Printf.sprintf "cell_%05d.json" c.Simkit.Campaign.index) cells in
+  check
+    Alcotest.(list string)
+    "cells/ holds exactly the checkpoints" names
+    (List.sort compare (Array.to_list (Sys.readdir (Filename.concat cached "cells"))));
+  List.iter2
+    (fun c name ->
+      let checkpoint = Unix.lstat (Filename.concat (Filename.concat cached "cells") name)
+      and record =
+        Unix.stat (Simkit.Cellstore.path store ~master:9 (Simkit.Campaign.cellid c))
+      in
+      check
+        Alcotest.(pair int int)
+        (name ^ " is a link to its record")
+        (record.Unix.st_dev, record.Unix.st_ino)
+        (checkpoint.Unix.st_dev, checkpoint.Unix.st_ino))
+    cells names
 
 (* Regression: the campaign identity must cover trials and base
    parameters, which cell addresses alone don't encode — resuming after
@@ -1638,14 +1702,6 @@ let test_cells_live_words () =
     Alcotest.failf "Grid.cells keeps %.1f words per cell alive (limit %.0f)" per_cell
       live_words_limit
 
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
 (* [f] on a fresh directory and the tiny-0 cells, with payloads that do
    not matter here. *)
 let with_tiny_campaign f =
@@ -1654,12 +1710,11 @@ let with_tiny_campaign f =
       (fun (c : Simkit.Campaign.cell) -> { c with run = (fun ~master:_ ~salt:_ -> Json.Null) })
       (tiny_cells ())
   in
-  let dir = fresh_dir () in
   let config =
-    { Simkit.Campaign.dir; master = 9; resume = false; max_cells = None;
+    { Simkit.Campaign.dir = fresh_dir (); master = 9; resume = false; max_cells = None;
       domains = Some 1; cache = None; progress = ignore }
   in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f config cells)
+  f config cells
 
 let check_direct_words what cells words =
   let per_cell = words /. Float.of_int (List.length cells) in
@@ -1687,6 +1742,7 @@ let test_finalize_direct_words () =
 
 let () =
   Alcotest.run "sweep"
+  @@ cleaning
     [
       ( "kernel-stream-equivalence",
         [
@@ -1755,6 +1811,8 @@ let () =
             test_new_kernels_backend_identity;
           Alcotest.test_case "resume refuses changed backend" `Quick
             test_resume_refuses_changed_backend;
+          Alcotest.test_case "cached checkpoints are links to their records" `Quick
+            test_cached_checkpoints_are_record_links;
         ] );
       ( "lane-engine",
         [
